@@ -27,17 +27,22 @@ per-event closures entirely:
   spills into a list when a second callback registers (callbacks are
   callables, never lists, so ``type(c) is list`` discriminates).
 
-Pending events live in an *array-backed two-tier calendar* instead of a
-binary heap. ``_near`` is a sorted array consumed in place through a
-moving ``_head`` cursor; ``_far`` is an unsorted overflow array holding
-every entry at or beyond ``_horizon`` (the largest timestamp of the last
-sorted batch). The dominant DES pattern -- each completion scheduling
-the next timeout further in the future -- therefore costs one
-``list.append`` per schedule and one indexed read per fire; when the
-sorted segment drains, the overflow (already nearly sorted, because
-virtual time only moves forward) is sorted once with Timsort and becomes
-the next segment. Same-time entries (callback flushes, spawns,
-interrupts) binary-insert into the sorted segment. Entries are totally
+Pending events live in an *array-backed three-tier calendar* instead of
+a single binary heap. ``_near`` is a sorted array consumed in place
+through a moving ``_head`` cursor; ``_far`` is an unsorted overflow
+array holding every entry at or beyond ``_horizon`` (the largest
+timestamp of the last sorted batch); ``_late`` is a small binary heap
+holding entries scheduled *below* the horizon after that batch was
+sorted. The dominant DES pattern -- each completion scheduling the next
+timeout further in the future -- therefore costs one ``list.append``
+per schedule and one indexed read per fire; when the sorted segment and
+the late heap both drain, the overflow (already nearly sorted, because
+virtual time only moves forward) is sorted once with Timsort and
+becomes the next segment. Below-horizon entries (same-time callback
+flushes, spawns, interrupts, short timeouts while many events are
+pending) cost one ``heappush``, O(log n), and each pop takes the
+smaller of the two heads. Every late entry precedes every overflow
+entry, so the tiers never interleave out of order. Entries are totally
 ordered by the unique ``(when, seq)`` key, so the pop sequence -- and
 every golden trace -- is bit-for-bit identical to the heap-based kernel.
 
@@ -64,7 +69,8 @@ Example
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_left as _bisect_left, insort as _insort
+from bisect import bisect_left as _bisect_left
+from heapq import heappop as _heappop, heappush as _heappush
 from typing import Any, Callable, Generator, Iterable, Optional
 
 from repro.errors import ProcessFailure, SimulationError
@@ -457,14 +463,19 @@ class Simulator:
 
     def __init__(self, start: float = 0.0, observability: Any = None) -> None:
         self._now = float(start)
-        # Array-backed two-tier event calendar. ``_near`` is sorted
+        # Array-backed three-tier event calendar. ``_near`` is sorted
         # ascending by (when, seq) and consumed in place through the
-        # moving ``_head`` cursor; ``_far`` is unsorted overflow holding
-        # every entry with ``when >= _horizon``. ``_far_min`` tracks the
-        # smallest timestamp in ``_far`` (inf when empty) so peeking the
-        # next due time never scans. Both list objects keep their
-        # identity for the simulator's lifetime.
+        # moving ``_head`` cursor; it only changes at a refill. ``_far``
+        # is unsorted overflow holding every entry with
+        # ``when >= _horizon``; ``_far_min`` tracks its smallest
+        # timestamp (inf when empty) so peeking the next due time never
+        # scans. ``_late`` is a binary heap of the entries scheduled with
+        # ``when < _horizon`` since the last refill; the next entry due
+        # is the smaller of ``_near[_head]`` and ``_late[0]``, and a
+        # refill happens only once both are exhausted. All three list
+        # objects keep their identity for the simulator's lifetime.
         self._near: list = []
+        self._late: list = []
         self._far: list = []
         self._head = 0
         self._horizon = -_INF
@@ -511,38 +522,24 @@ class Simulator:
 
         Entries at or beyond the horizon append to the unsorted overflow
         (the dominant schedule-into-the-future pattern); earlier entries
-        binary-insert into the live sorted segment. Every new entry
-        compares greater than every already-consumed one (its ``seq`` is
-        larger and its ``when`` is not in the past), so the insertion
-        point always lands at or after the head cursor.
+        go onto the late heap, O(log n) whatever the number pending.
         """
         if entry[0] >= self._horizon:
             self._far.append(entry)
             if entry[0] < self._far_min:
                 self._far_min = entry[0]
-            return
-        near = self._near
-        _insort(near, entry)
-        head = self._head
-        if head > 4096 and head << 1 > len(near):
-            # A long same-timestamp chain can grow the consumed prefix
-            # without ever draining the segment; shear it off once it
-            # dominates so memory stays proportional to pending events.
-            del near[:head]
-            self._head = 0
-            observability = self.observability
-            if observability is not None:
-                observability.registry.counter(
-                    "engine.calendar.compactions"
-                ).inc()
+        else:
+            _heappush(self._late, entry)
 
     def _refill(self) -> None:
         """Sort the overflow into a fresh consumable segment.
 
-        Only called when the sorted segment is fully consumed and the
-        overflow is non-empty. Virtual time only moves forward, so the
-        overflow is typically appended in nearly ascending order --
-        exactly the input Timsort consumes in linear time.
+        Only called when the sorted segment and the late heap are both
+        fully consumed and the overflow is non-empty; every late entry
+        was below the old horizon, so none can follow an overflow
+        entry. Virtual time only moves forward, so the overflow is
+        typically appended in nearly ascending order -- exactly the
+        input Timsort consumes in linear time.
         """
         near, far = self._near, self._far
         far.sort()
@@ -604,7 +601,7 @@ class Simulator:
             if when < self._far_min:
                 self._far_min = when
         else:
-            self._push(entry)
+            _heappush(self._late, entry)
         return evt
 
     def schedule_batch(
@@ -622,7 +619,7 @@ class Simulator:
         counter and the payloads) and appended to the unsorted overflow
         tier, which the next :meth:`_refill` absorbs with one Timsort.
         Entries below the current horizon -- only possible mid-run --
-        take the per-entry sorted-insert path, exactly as a loop of
+        go onto the late heap one by one, exactly as a loop of
         individual schedules would.
 
         ``whens`` must be ascending (a sorted trace) and must not start
@@ -669,9 +666,9 @@ class Simulator:
         # entries[split:] all belong in the overflow tier.
         split = _bisect_left(whens, self._horizon)
         if split:
-            push = self._push
+            late = self._late
             for entry in entries[:split]:
-                push(entry)
+                _heappush(late, entry)
         if split < n:
             self._far.extend(entries[split:])
             first = whens[split]
@@ -773,7 +770,8 @@ class Simulator:
         in on exit (exact per-entry accounting is preserved whenever the
         hook is set).
         """
-        near = self._near  # stable identity; only contents mutate
+        near = self._near  # stable identities; only contents mutate
+        late = self._late
         far = self._far
         on_event = self.on_event  # read once; set hooks before run()
         seq_next = self._seq_next
@@ -787,14 +785,18 @@ class Simulator:
                 # re-enters the loop) stay correct.
                 while True:
                     head = self._head
-                    if head == len(near):
-                        if not far:
-                            break
+                    if late and (head == len(near) or late[0] < near[head]):
+                        entry = _heappop(late)
+                    elif head < len(near):
+                        entry = near[head]
+                        head += 1
+                        self._head = head
+                    elif far:
                         self._refill()
-                        head = 0
-                    entry = near[head]
-                    head += 1
-                    self._head = head
+                        entry = near[0]
+                        head = self._head = 1
+                    else:
+                        break
                     popped += 1
                     self._now = when = entry[0]
                     kind = entry[2]
@@ -813,15 +815,17 @@ class Simulator:
                             if callback.__class__ is list:
                                 for cb in callback:
                                     push((when, seq_next(), 2, cb, evt))
-                            elif (near[head][0] if head < len(near)
-                                  else self._far_min) > when:
-                                # No other entry is due at `when` (the
-                                # overflow minimum is inf when empty), so
-                                # the callback entry we would push would
-                                # pop straight back off. Dispatch it
-                                # directly -- relative sequence order
-                                # (and therefore every tie-break) is
-                                # unchanged.
+                            elif (not late or late[0][0] > when) and (
+                                near[head][0] if head < len(near)
+                                else self._far_min
+                            ) > when:
+                                # No other entry is due at `when` in any
+                                # tier (the overflow minimum is inf when
+                                # empty), so the callback entry we would
+                                # push would pop straight back off.
+                                # Dispatch it directly -- relative
+                                # sequence order (and therefore every
+                                # tie-break) is unchanged.
                                 callback(evt)
                             else:
                                 push((when, seq_next(), 2, callback, evt))
@@ -832,17 +836,27 @@ class Simulator:
             else:
                 while True:
                     head = self._head
-                    if head == len(near):
-                        if not far:
-                            break
+                    from_late = late and (
+                        head == len(near) or late[0] < near[head]
+                    )
+                    if from_late:
+                        entry = late[0]
+                    elif head < len(near):
+                        entry = near[head]
+                    elif far:
                         self._refill()
                         head = 0
-                    entry = near[head]
+                        entry = near[0]
+                    else:
+                        break
                     when = entry[0]
                     if until is not None and when > until:
                         self._now = until
                         return self._now
-                    self._head = head + 1
+                    if from_late:
+                        _heappop(late)
+                    else:
+                        self._head = head + 1
                     self._now = when
                     self._event_count += 1
                     if on_event is not None:
@@ -875,8 +889,14 @@ class Simulator:
 
     def peek(self) -> Optional[float]:
         """Time of the next scheduled callback, or ``None`` if idle."""
-        if self._head < len(self._near):
-            return self._near[self._head][0]
+        near, late, head = self._near, self._late, self._head
+        if late:
+            first = late[0][0]
+            if head < len(near) and near[head][0] < first:
+                return near[head][0]
+            return first
+        if head < len(near):
+            return near[head][0]
         if self._far:
             return self._far_min
         return None

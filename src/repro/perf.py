@@ -80,7 +80,7 @@ Benches
     One million heavy-tailed (Pareto) session lengths plus Zipf-skewed
     client ids as two batch draws vs the frozen scalar loops.
 ``bulk_injection``
-    Pre-sorted arrival times injected into the two-tier calendar via
+    Pre-sorted arrival times injected into the three-tier calendar via
     :meth:`~repro.engine.sim.Simulator.schedule_batch` vs a per-event
     scheduling loop; both simulations then run to completion and must
     agree exactly on events fired and final clock.
@@ -1006,7 +1006,7 @@ def build_specs(quick: bool = False, seed: int = 0) -> List[BenchSpec]:
             name="bulk_injection",
             suite="traffic",
             description=(
-                f"{inject_n} pre-sorted arrivals into the two-tier "
+                f"{inject_n} pre-sorted arrivals into the three-tier "
                 "calendar: Simulator.schedule_batch vs a per-event "
                 "scheduling loop (drain untimed, checksummed)"
             ),

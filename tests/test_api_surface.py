@@ -8,6 +8,8 @@ class/function in the public API carries a docstring.
 import importlib
 import inspect
 import pkgutil
+import re
+from pathlib import Path
 
 import pytest
 
@@ -165,6 +167,14 @@ class TestVersionAndMain:
         # The service layer is a major surface addition.
         major = int(repro.__version__.split(".")[0])
         assert major >= 2
+
+    def test_version_matches_pyproject(self):
+        # One version string: the package metadata and the import agree.
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        declared = re.search(r'^version = "([^"]+)"$',
+                             pyproject.read_text(), re.MULTILINE)
+        assert declared is not None
+        assert declared.group(1) == repro.__version__
 
     def test_cli_module_importable(self):
         module = importlib.import_module("repro.__main__")

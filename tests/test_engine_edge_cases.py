@@ -367,13 +367,14 @@ class TestStoreEdgeCases:
 
 
 class TestTwoTierCalendarEdges:
-    """Remaining edges of the array-backed two-tier event calendar.
+    """Remaining edges of the array-backed event calendar.
 
-    The calendar keeps a sorted in-place-consumed ``_near`` segment and
-    an unsorted ``_far`` overflow whose minimum is tracked in
+    The calendar keeps a sorted in-place-consumed ``_near`` segment, a
+    ``_late`` heap for entries scheduled below its horizon, and an
+    unsorted ``_far`` overflow whose minimum is tracked in
     ``_far_min``. These tests pin the overflow-min bookkeeping across
-    refill cycles, the consumed-prefix compaction under sustained
-    near-horizon insertion, and calendar behaviour under mass
+    refill cycles, bounded memory under sustained below-horizon
+    insertion, and calendar behaviour under mass
     cancellation -- all through observable behaviour (``peek``, firing
     order, final clock), with white-box asserts only where the edge is
     otherwise invisible.
@@ -393,7 +394,7 @@ class TestTwoTierCalendarEdges:
         # entries: _far_min must restart from inf, not stay stale.
         sim.run(until=25.0)
         assert fired == [10.0, 20.0]
-        for when in (9.0, 8.0):  # below the horizon -> live insort
+        for when in (9.0, 8.0):  # below the horizon -> late heap
             sim.timeout(when).add_callback(
                 lambda e, w=when: fired.append(25.0 + w)
             )
@@ -414,8 +415,7 @@ class TestTwoTierCalendarEdges:
 
     def test_consumed_prefix_compaction_under_chained_insertion(self):
         # A sentinel far in the future pins the horizon high, so every
-        # chained timeout insorts into the live near segment and the
-        # consumed prefix grows past the 4096-entry shear threshold.
+        # chained timeout is scheduled below it.
         sim = Simulator()
         n_chain = 9_000
         fired = []
@@ -432,8 +432,8 @@ class TestTwoTierCalendarEdges:
         sim.spawn(chain(sim))
         sim.run()
         assert fired == [float(n_chain), "sentinel"]
-        # The shear fired: the consumed prefix was cut, so the near
-        # array never accumulates the whole chain's dead entries.
+        # The near array never accumulates the whole chain's dead
+        # entries.
         assert len(sim._near) < n_chain
         assert sim._head <= len(sim._near)
 

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro import _modelref
+from repro import _modelref, _perfref
 from repro.engine import Observability, Simulator
 from repro.engine.randomness import RandomStream
 from repro.engine.sim import _KIND_CALLBACK, SimulationError
@@ -372,23 +372,53 @@ class TestCalendarCounters:
         assert counters["engine.calendar.batch_inserted"] == 500.0
         assert counters["engine.calendar.refills"] >= 1.0
 
-    def test_compaction_counter_fires_under_churn(self):
-        obs = Observability()
-        sim = Simulator(observability=obs)
+    def test_churn_matches_reference_kernel(self):
+        # A rolling window: 8k batch arrivals, each completion scheduling
+        # one more event 1.0 ahead (12k in all). After the first refill
+        # every chained entry lands below the horizon. The pop order,
+        # clock and event count must equal the frozen heap kernel's, and
+        # the calendar's live entries must never exceed the pending
+        # events.
+        def drive(sim, schedule, live_entries=None):
+            fired = []
+            budget = [12_000]
+            pending = [8_000]
+            worst = [0]
 
-        # A rolling window: each completion schedules one more event, so
-        # the near array keeps a long consumed prefix -> compaction.
-        budget = [12_000]
+            def chain(payload):
+                pending[0] -= 1
+                fired.append((sim.now, payload))
+                if budget[0] > 0:
+                    budget[0] -= 1
+                    pending[0] += 1
+                    schedule([sim.now + 1.0], chain, [20_000 - budget[0]])
+                if live_entries is not None:
+                    live = live_entries(sim)
+                    assert live <= pending[0]
+                    worst[0] = max(worst[0], live)
 
-        def chain(_p):
-            if budget[0] > 0:
-                budget[0] -= 1
-                sim.schedule_batch([sim.now + 1.0], chain)
+            schedule([float(i) for i in range(8_000)], chain,
+                     list(range(8_000)))
+            sim.run()
+            return fired, sim.now, sim.events_processed, worst[0]
 
-        sim.schedule_batch([float(i) for i in range(8_000)], chain)
-        sim.run()
-        counters = obs.registry.snapshot()["counters"]
-        assert counters.get("engine.calendar.compactions", 0.0) >= 1.0
+        sim = Simulator()
+        fired, now, count, worst = drive(
+            sim, sim.schedule_batch,
+            lambda s: len(s._near) - s._head + len(s._late) + len(s._far),
+        )
+
+        ref = _perfref.Simulator()
+
+        def per_entry(whens, callback, payloads):
+            for when, payload in zip(whens, payloads):
+                ref._schedule_at(when, lambda p=payload: callback(p))
+
+        ref_fired, ref_now, ref_count, _ = drive(ref, per_entry)
+        assert fired == ref_fired
+        assert (now, count) == (ref_now, ref_count)
+        assert count == 20_000
+        assert 0 < worst <= 8_000
 
     def test_detached_observability_has_no_counters(self):
         sim = Simulator()
