@@ -14,8 +14,9 @@ Commands:
   byte-identical canonical document. Options: ``--jobs``, ``--seeds``,
   ``--cache-dir``, ``--no-cache``, ``--out-dir``, ``--timeout-s``,
   ``--retries``, ``--quick``, ``--resume``, ``--set KEY=VALUE``.
-- ``trace``        -- run one experiment instrumented; print the span /
-  metrics report and write ``trace.jsonl``.
+- ``trace``        -- run one experiment's entrypoint at its default
+  config with observability attached; print the span / metrics report
+  and write ``trace.jsonl``.
 - ``serve``        -- start the experiment service: an asyncio HTTP +
   WebSocket server accepting job submissions, with admission control,
   request coalescing and the shared result cache. Accepted jobs are
@@ -142,11 +143,17 @@ def _cmd_findings() -> int:
 
 
 def _cmd_experiments() -> int:
-    from repro.reporting import EXPERIMENTS, render_table
+    from repro.reporting import (
+        EXPERIMENTS,
+        render_table,
+        traceable_experiments,
+    )
 
+    traceable = set(traceable_experiments())
     rows = [
         [e.experiment_id, e.paper_anchor, e.claim[:52],
-         "yes" if e.runnable else "", "yes" if e.traceable else ""]
+         "yes" if e.runnable else "",
+         "yes" if e.experiment_id in traceable else ""]
         for e in EXPERIMENTS
     ]
     print(render_table(
@@ -156,7 +163,7 @@ def _cmd_experiments() -> int:
         "experiments",
         total=len(EXPERIMENTS),
         runnable=sum(1 for e in EXPERIMENTS if e.runnable),
-        traceable=sum(1 for e in EXPERIMENTS if e.traceable),
+        traceable=len(traceable),
     )
     return 0
 

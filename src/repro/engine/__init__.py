@@ -4,7 +4,6 @@ The kernel follows the SimPy model: processes are generators yielding
 :class:`~repro.engine.sim.Event` objects; :class:`~repro.engine.sim.Simulator`
 owns the virtual clock. :mod:`~repro.engine.resources` adds counted
 resources, continuous containers and FIFO stores;
-:mod:`~repro.engine.trace` collects metric series;
 :mod:`~repro.engine.observability` adds span tracing, a metrics registry
 (counters/gauges/histograms) and engine hooks;
 :mod:`~repro.engine.randomness` provides reproducible variate streams;
@@ -46,12 +45,6 @@ from repro.engine.sharded import (
     partition_fabric,
 )
 from repro.engine.sim import Event, Interrupt, ProcessHandle, Simulator, Timeout
-from repro.engine.trace import (
-    MetricSeries,
-    Tracer,
-    confidence_interval_95,
-    summarize,
-)
 
 __all__ = [
     "Container",
@@ -65,7 +58,6 @@ __all__ = [
     "HedgeOutcome",
     "Histogram",
     "Interrupt",
-    "MetricSeries",
     "Observability",
     "ProcessHandle",
     "RandomStream",
@@ -80,11 +72,8 @@ __all__ = [
     "SpanLog",
     "Store",
     "Timeout",
-    "Tracer",
-    "confidence_interval_95",
     "hedge",
     "partition_fabric",
     "retry",
-    "summarize",
     "with_deadline",
 ]

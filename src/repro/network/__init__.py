@@ -10,11 +10,8 @@ from repro.network.failures import (
     DegradationPoint,
     DegradationProfile,
     hosts_connected,
-    min_cut_links_between,
     progressive_link_failures,
     single_switch_failure_impact,
-    without_links,
-    without_switches,
 )
 from repro.network.flows import (
     Flow,
@@ -140,7 +137,6 @@ __all__ = [
     "load_imbalance",
     "management_speedup",
     "max_min_fair_rates",
-    "min_cut_links_between",
     "path_bottleneck_gbps",
     "path_links",
     "poisson_traffic_latencies",
@@ -150,6 +146,4 @@ __all__ = [
     "standard_dmz_chain",
     "transfer_time_s",
     "white_box_switch",
-    "without_links",
-    "without_switches",
 ]

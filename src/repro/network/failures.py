@@ -10,35 +10,13 @@ leaf-spine designs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 import networkx as nx
 
 from repro.engine.randomness import RandomStream
 from repro.errors import TopologyError
 from repro.network.topology import Fabric
-
-
-def without_links(fabric: Fabric, links: List[Tuple[str, str]]) -> Fabric:
-    """A copy of ``fabric`` with ``links`` removed."""
-    degraded = Fabric(name=f"{fabric.name}-degraded", graph=fabric.graph.copy())
-    for a, b in links:
-        if not degraded.graph.has_edge(a, b):
-            raise TopologyError(f"no link {a}--{b} to fail")
-        degraded.graph.remove_edge(a, b)
-    return degraded
-
-
-def without_switches(fabric: Fabric, switches: List[str]) -> Fabric:
-    """A copy of ``fabric`` with ``switches`` (and their links) removed."""
-    degraded = Fabric(name=f"{fabric.name}-degraded", graph=fabric.graph.copy())
-    for switch in switches:
-        if switch not in degraded.graph:
-            raise TopologyError(f"no node {switch} to fail")
-        if degraded.role(switch) == "host":
-            raise TopologyError(f"{switch} is a host, not a switch")
-        degraded.graph.remove_node(switch)
-    return degraded
 
 
 def hosts_connected(fabric: Fabric) -> bool:
@@ -51,18 +29,6 @@ def hosts_connected(fabric: Fabric) -> bool:
         if hosts[0] in component:
             return all(h in component for h in hosts)
     return False
-
-
-def min_cut_links_between(fabric: Fabric, src: str, dst: str) -> int:
-    """Edge-disjoint path count between two hosts (failure tolerance).
-
-    The fabric survives any ``k-1`` link failures on this pair's routes,
-    where ``k`` is the returned value.
-    """
-    for node in (src, dst):
-        if node not in fabric.graph:
-            raise TopologyError(f"unknown node: {node}")
-    return nx.edge_connectivity(fabric.graph, src, dst)
 
 
 @dataclass

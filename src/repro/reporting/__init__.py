@@ -8,7 +8,6 @@ from repro.reporting.experiments import (
 )
 from repro.reporting.tables import format_value, render_records, render_table
 from repro.reporting.traces import (
-    TRACE_RUNNERS,
     TraceReport,
     render_trace_report,
     run_trace,
@@ -18,7 +17,6 @@ from repro.reporting.traces import (
 __all__ = [
     "EXPERIMENTS",
     "Experiment",
-    "TRACE_RUNNERS",
     "TraceReport",
     "format_value",
     "get_experiment",

@@ -1,18 +1,30 @@
 """The experiment registry: every paper exhibit and claim, indexed.
 
 Maps each experiment id from DESIGN.md to its paper anchor, the modules
-implementing it, the benchmark that regenerates it, and the expected
-*shape* of the result (who wins, roughly by how much). EXPERIMENTS.md is
-generated from this registry, and the test suite asserts registry
-consistency (benches exist, modules import).
+implementing it, the benchmark that regenerates it, the expected
+*shape* of the result (who wins, roughly by how much) and, for runnable
+exhibits, the entrypoint with its declared default and ``--quick``
+config. EXPERIMENTS.md is generated from this registry, and the test
+suite asserts registry consistency (benches exist, modules import).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Tuple
+import copy
+from dataclasses import dataclass, field
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.errors import RegistryError
+
+#: Knobs of the full X16 self-chaos exhibit (its non-probe config).
+CHAOS_DEFAULTS: Dict[str, Any] = {
+    "inner_seeds": 3,       # seeds per inner grid
+    "jobs": 2,              # pool width of the inner grids
+    "probe_sleep_s": 0.2,   # per-shard sleep: the kill window
+    "service_sleep_s": 2.0, # shard sleep of the job the service loses
+    "kill_after_done": 1,   # journalled shard-dones before parent kill
+    "deadline_s": 120.0,    # watchdog for every external wait
+}
 
 
 @dataclass(frozen=True)
@@ -21,8 +33,9 @@ class Experiment:
 
     ``entrypoint`` is a dotted ``"module:function"`` path to a runnable
     ``(config, seed) -> RunResult`` callable (empty when the exhibit is
-    only reachable through its benchmark). ``traceable`` marks
-    experiments wired for instrumented ``python -m repro trace`` runs.
+    only reachable through its benchmark). ``defaults`` declares every
+    config key the entrypoint reads, at its full problem size;
+    ``quick`` holds the reduced sizes of ``--quick`` smoke runs.
     """
 
     experiment_id: str
@@ -32,12 +45,36 @@ class Experiment:
     modules: Tuple[str, ...]
     bench: str
     entrypoint: str = ""
-    traceable: bool = False
+    defaults: Mapping[str, Any] = field(default_factory=dict, hash=False)
+    quick: Mapping[str, Any] = field(default_factory=dict, hash=False)
 
     @property
     def runnable(self) -> bool:
         """Whether a programmatic entrypoint is registered."""
         return bool(self.entrypoint)
+
+    def config(
+        self, override: Optional[Mapping[str, Any]] = None, quick: bool = False
+    ) -> Dict[str, Any]:
+        """The effective run config: defaults, then quick sizes, then
+        ``override``.
+
+        Raises :class:`~repro.errors.RegistryError` naming any override
+        key the experiment does not declare, so a typo is an error
+        rather than a silently ignored (but recorded) setting.
+        """
+        override = dict(override or {})
+        unknown = sorted(set(override) - set(self.defaults))
+        if unknown:
+            raise RegistryError(
+                f"experiment {self.experiment_id!r} does not declare config "
+                f"key(s) {unknown}; declared: {sorted(self.defaults)}"
+            )
+        merged = copy.deepcopy(dict(self.defaults))
+        if quick:
+            merged.update(self.quick)
+        merged.update(override)
+        return merged
 
     def resolve_entrypoint(self):
         """Import and return the entrypoint callable.
@@ -76,6 +113,7 @@ EXPERIMENTS: List[Experiment] = [
         ("repro.survey.corpus", "repro.survey.analysis"),
         "benchmarks/test_bench_survey.py",
         entrypoint="repro.runner.entrypoints:run_e1",
+        defaults={"n_interviews": 89, "n_companies": 70},
     ),
     Experiment(
         "E2", "SI (Catapult)",
@@ -84,7 +122,9 @@ EXPERIMENTS: List[Experiment] = [
         ("repro.engine", "repro.workloads.search"),
         "benchmarks/test_bench_catapult.py",
         entrypoint="repro.runner.entrypoints:run_e2",
-        traceable=True,
+        defaults={"qps": 2_000.0, "n_requests": 12_000, "sla_s": 0.012,
+                  "sla_requests": 4_000},
+        quick={"n_requests": 800, "sla_requests": 400},
     ),
     Experiment(
         "E3", "SV.B R4",
@@ -93,6 +133,7 @@ EXPERIMENTS: List[Experiment] = [
         ("repro.node.roofline", "repro.analytics.blocks"),
         "benchmarks/test_bench_accelerator_gain.py",
         entrypoint="repro.runner.entrypoints:run_e3",
+        defaults={"batch": 50_000_000},
     ),
     Experiment(
         "E4", "SIV.B.2",
@@ -101,6 +142,14 @@ EXPERIMENTS: List[Experiment] = [
         ("repro.econ.roi",),
         "benchmarks/test_bench_gpgpu_roi.py",
         entrypoint="repro.runner.entrypoints:run_e4",
+        defaults={
+            "hardware_usd": 50_000.0,
+            "port_effort_person_months": 9.0,
+            "speedup": 4.0,
+            "baseline_compute_value_usd_per_year": 250_000.0,
+            "accelerator_power_w": 2_400.0,
+            "horizon_years": 3,
+        },
     ),
     Experiment(
         "E5", "SIV.B.3",
@@ -109,6 +158,7 @@ EXPERIMENTS: List[Experiment] = [
         ("repro.econ.soc_sip", "repro.econ.silicon"),
         "benchmarks/test_bench_soc_sip.py",
         entrypoint="repro.runner.entrypoints:run_e5",
+        defaults={"advanced_node": "16nm", "mature_node": "28nm"},
     ),
     Experiment(
         "E6", "SIV.A.1",
@@ -117,7 +167,7 @@ EXPERIMENTS: List[Experiment] = [
         ("repro.network.switch", "repro.econ.cost"),
         "benchmarks/test_bench_switch_tco.py",
         entrypoint="repro.runner.entrypoints:run_e6",
-        traceable=True,
+        defaults={"fleets": [50, 200, 1_000, 5_000, 20_000]},
     ),
     Experiment(
         "E7", "SIV.A.2",
@@ -126,6 +176,7 @@ EXPERIMENTS: List[Experiment] = [
         ("repro.network.sdn", "repro.network.nfv"),
         "benchmarks/test_bench_sdn.py",
         entrypoint="repro.runner.entrypoints:run_e7",
+        defaults={"n_rules": 10},
     ),
     Experiment(
         "E8", "SIV.A.3",
@@ -134,6 +185,9 @@ EXPERIMENTS: List[Experiment] = [
         ("repro.cluster.disaggregation",),
         "benchmarks/test_bench_disaggregation.py",
         entrypoint="repro.runner.entrypoints:run_e8",
+        defaults={"n_demands": 3_000, "n_servers": 24,
+                  "n_refresh_servers": 1_000},
+        quick={"n_demands": 600},
     ),
     Experiment(
         "E9", "SIV.A.3 / R3",
@@ -142,6 +196,7 @@ EXPERIMENTS: List[Experiment] = [
         ("repro.network.link", "repro.core.adoption"),
         "benchmarks/test_bench_ethernet_roadmap.py",
         entrypoint="repro.runner.entrypoints:run_e9",
+        defaults={"funded_multiplier": 1.8},
     ),
     Experiment(
         "E10", "R11",
@@ -150,6 +205,7 @@ EXPERIMENTS: List[Experiment] = [
         ("repro.scheduler",),
         "benchmarks/test_bench_scheduling.py",
         entrypoint="repro.runner.entrypoints:run_e10",
+        defaults={"width": 10, "work": 8_000_000},
     ),
     Experiment(
         "E11", "R10",
@@ -158,7 +214,8 @@ EXPERIMENTS: List[Experiment] = [
         ("repro.frameworks", "repro.analytics.blocks"),
         "benchmarks/test_bench_offload.py",
         entrypoint="repro.runner.entrypoints:run_e11",
-        traceable=True,
+        defaults={"n_docs": 4_000, "n_partitions": 8},
+        quick={"n_docs": 600},
     ),
     Experiment(
         "E12", "R9",
@@ -167,6 +224,8 @@ EXPERIMENTS: List[Experiment] = [
         ("repro.workloads.suite",),
         "benchmarks/test_bench_suite.py",
         entrypoint="repro.runner.entrypoints:run_e12",
+        defaults={"scale": 20},
+        quick={"scale": 4},
     ),
     Experiment(
         "E13", "SIV.B.2 / SV.A(4)",
@@ -175,6 +234,7 @@ EXPERIMENTS: List[Experiment] = [
         ("repro.ecosystem.market",),
         "benchmarks/test_bench_market.py",
         entrypoint="repro.runner.entrypoints:run_e13",
+        defaults={"annual_license_usd": 250_000.0},
     ),
     Experiment(
         "E14", "R2",
@@ -183,6 +243,8 @@ EXPERIMENTS: List[Experiment] = [
         ("repro.workloads.streams", "repro.frameworks.streaming"),
         "benchmarks/test_bench_convergence.py",
         entrypoint="repro.runner.entrypoints:run_e14",
+        defaults={"n_events": 500_000},
+        quick={"n_events": 20_000},
     ),
     Experiment(
         "E15", "SIV.C",
@@ -191,6 +253,7 @@ EXPERIMENTS: List[Experiment] = [
         ("repro.node.programmability",),
         "benchmarks/test_bench_portability.py",
         entrypoint="repro.runner.entrypoints:run_e15",
+        defaults={"n_kernels": 10},
     ),
     Experiment(
         "E16", "SV.B",
@@ -199,6 +262,7 @@ EXPERIMENTS: List[Experiment] = [
         ("repro.core.recommendations", "repro.core.prioritize"),
         "benchmarks/test_bench_recommendations.py",
         entrypoint="repro.runner.entrypoints:run_e16",
+        defaults={"budgets_meur": [50.0, 100.0, 200.0, 335.0]},
     ),
     # --- extensions beyond the paper's explicit claims -------------------
     Experiment(
@@ -214,7 +278,9 @@ EXPERIMENTS: List[Experiment] = [
         "shared never loses on mean completion time; gain >1.3x under load",
         ("repro.scheduler.online",),
         "benchmarks/test_bench_dynamic_allocation.py",
-        traceable=True,
+        entrypoint="repro.runner.entrypoints:run_x2",
+        defaults={"n_jobs": 10, "mean_interarrival_s": 0.002,
+                  "work": 1_000_000},
     ),
     Experiment(
         "X3", "R11 (edge) / SIII (IoT back-end)",
@@ -243,7 +309,8 @@ EXPERIMENTS: List[Experiment] = [
         "least-loaded placement never slower, lower link imbalance, wins under collision-prone fan-out",
         ("repro.network.loadbalance",),
         "benchmarks/test_bench_loadbalance.py",
-        traceable=True,
+        entrypoint="repro.runner.entrypoints:run_x7",
+        defaults={"k": 4, "n_flows": 8, "flow_mb": 250},
     ),
     Experiment(
         "X9", "SV.A Finding 2 (wait-for-commodity)",
@@ -285,6 +352,8 @@ EXPERIMENTS: List[Experiment] = [
         ),
         "benchmarks/test_bench_chaos.py",
         entrypoint="repro.runner.entrypoints:run_x12",
+        defaults={"n_requests": 4_000, "n_reads": 2_500, "n_jobs": 24},
+        quick={"n_requests": 600, "n_reads": 400, "n_jobs": 10},
     ),
     Experiment(
         "X11", "methodology (incremental flow repair)",
@@ -292,7 +361,8 @@ EXPERIMENTS: List[Experiment] = [
         "repair answers bit-identical to full solves; repair count dominates full-solve fallbacks on sparse fault schedules",
         ("repro.network.flows", "repro.engine.observability"),
         "benchmarks/perfsuite.py",
-        traceable=True,
+        entrypoint="repro.runner.entrypoints:run_x11",
+        defaults={"k": 4, "n_flows": 12, "flow_mb": 100},
     ),
     Experiment(
         "X14", "SIV.A (scale-out fabrics) + methodology (parallel DES)",
@@ -305,6 +375,17 @@ EXPERIMENTS: List[Experiment] = [
         ),
         "benchmarks/test_bench_sharded.py",
         entrypoint="repro.runner.entrypoints:run_x14",
+        defaults={
+            "fabric": "fat-tree",
+            "k": 90,
+            "n_requests": 1_000_000,
+            "duration_s": 4e-3,
+            "shards": 4,
+            "inline": False,
+            "with_faults": True,
+            "trace_out": "",
+        },
+        quick={"k": 8, "n_requests": 8_000, "duration_s": 2e-3, "shards": 2},
     ),
     Experiment(
         "X15", "SII.B (datacenter services) + SIV.B (admission control)",
@@ -317,6 +398,14 @@ EXPERIMENTS: List[Experiment] = [
         ),
         "benchmarks/test_bench_service.py",
         entrypoint="repro.runner.entrypoints:run_x15",
+        defaults={
+            "n_requests": 50_000,
+            "arrival_rate_hz": 2_000.0,
+            "n_workers": 8,
+            "queue_cap": 48,
+            "per_client_cap": 4,
+        },
+        quick={"n_requests": 3_000},
     ),
     Experiment(
         "X16", "SIV.B (resilient services) + methodology (fault injection)",
@@ -329,6 +418,10 @@ EXPERIMENTS: List[Experiment] = [
         ),
         "benchmarks/test_bench_selfchaos.py",
         entrypoint="repro.runner.entrypoints:run_x16",
+        defaults={"probe": False, "sleep_s": 0.0, "crash_marker_dir": None,
+                  **CHAOS_DEFAULTS},
+        quick={"inner_seeds": 2, "probe_sleep_s": 0.1,
+               "service_sleep_s": 1.0},
     ),
     Experiment(
         "X17", "SIII.B (provisioning for real traffic) + SII (Catapult tails)",
@@ -341,6 +434,13 @@ EXPERIMENTS: List[Experiment] = [
         ),
         "benchmarks/test_bench_traffic.py",
         entrypoint="repro.runner.entrypoints:run_x17",
+        defaults={
+            "base_qps": 700.0,
+            "search_horizon_s": 4.0,
+            "base_read_hz": 400.0,
+            "memory_horizon_s": 5.0,
+        },
+        quick={"search_horizon_s": 0.8, "memory_horizon_s": 1.0},
     ),
 ]
 

@@ -1,30 +1,32 @@
 """Instrumented experiment runs: ``python -m repro trace <experiment>``.
 
-Re-runs a registered experiment with an
-:class:`~repro.engine.Observability` attached, then renders a run
-report -- a per-subsystem breakdown (span counts, span time, engine
-event steps), the hottest spans, and the metric registry snapshot --
-and can export the span buffer as ``trace.jsonl``.
+Runs a registered experiment's own entrypoint, at the experiment's
+declared default config, with an :class:`~repro.engine.Observability`
+attached, then renders a run report -- a per-subsystem breakdown (span
+counts, span time, engine event steps), the hottest spans, the metric
+registry snapshot and the run's metrics as the headline -- and can
+export the span buffer as ``trace.jsonl``.
 
-The traceable set is declared in the experiment registry (the
-:attr:`~repro.reporting.experiments.Experiment.traceable` flag); this
-module keeps the matching runner per id in :data:`TRACE_RUNNERS`, and a
-registry/runner mismatch is reported as an error rather than silently
-hiding an experiment. Each runner uses a deliberately modest problem
-size: the point of a trace run is instrumentation coverage, not
-statistical power. Runners take the grid ``seed`` convention shared
-with :mod:`repro.runner`: the seed is added to each runner's legacy
-base seed, so seed 0 reproduces historical traces exactly.
+An experiment is traceable when its entrypoint accepts an
+``observability`` keyword; there is no separate trace code path, so a
+trace explains exactly the run that ``python -m repro run`` produces.
+The ``seed`` follows the runner convention: it is added to each
+entrypoint's legacy base seed, so seed 0 reproduces the seed-0 run.
 """
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List
+from typing import Any, Dict, List
 
 from repro.engine import Observability
 from repro.errors import RegistryError
-from repro.reporting.experiments import EXPERIMENTS, get_experiment
+from repro.reporting.experiments import (
+    EXPERIMENTS,
+    Experiment,
+    get_experiment,
+)
 from repro.reporting.tables import render_table
 
 
@@ -57,260 +59,49 @@ class TraceReport:
         return self.observability.export_jsonl(path, header=header)
 
 
-def _trace_e2(observability: Observability, seed: int = 0) -> Dict[str, Any]:
-    """E2: accelerated search-ranking service (DES spans + pool gauges)."""
-    from repro.workloads.search import run_search_service
-
-    result = run_search_service(
-        qps=3_000.0,
-        n_requests=3_000,
-        accelerated=True,
-        seed=2016 + seed,
-        observability=observability,
-    )
-    return {
-        "qps": result.qps,
-        "requests": len(result.latencies_s),
-        "p50_s": result.p50_s,
-        "p99_s": result.p99_s,
-    }
-
-
-def _trace_e6(observability: Observability, seed: int = 0) -> Dict[str, Any]:
-    """E6: switch-fleet TCO sweep (cost counters and histograms)."""
-    from repro.network.switch import (
-        bare_metal_switch,
-        branded_switch,
-        fleet_tco_usd,
-        white_box_switch,
-    )
-
-    registry = observability.registry
-    switches = (branded_switch(), white_box_switch(), bare_metal_switch())
-    headline: Dict[str, Any] = {}
-    for fleet_size in (100, 1_000, 10_000):
-        for switch in switches:
-            total = fleet_tco_usd(switch, fleet_size, registry=registry)
-            if fleet_size == 1_000:
-                headline[f"tco_usd_1k.{switch.name}"] = total
-    return headline
-
-
-def _trace_e11(observability: Observability, seed: int = 0) -> Dict[str, Any]:
-    """E11: offloaded pipeline (placement counters + stage spans)."""
-    from repro.cluster import uniform_cluster
-    from repro.frameworks import (
-        BatchExecutor,
-        PartitionedDataset,
-        Plan,
-        cpu_only,
-        greedy_time,
-    )
-    from repro.network import leaf_spine
-    from repro.node import accelerated_server, arria10_fpga, xeon_e5
-    from repro.workloads import zipf_documents
-
-    cluster = uniform_cluster(
-        leaf_spine(2, 2, 2),
-        lambda: accelerated_server(xeon_e5(), arria10_fpga()),
-    )
-    docs = zipf_documents(2_000, 40, seed=3 + seed)
-    dataset = PartitionedDataset.from_records(docs, 8, record_bytes=240)
-    plan = (
-        Plan.source()
-        .map(lambda s: s, block="regex-extract", label="extract")
-        .filter(lambda s: "data" in s, block="filter-scan", label="select")
-        .map(lambda s: (s.split()[0], 1), block="filter-scan", label="pair")
-        .reduce_by_key(lambda kv: kv[0], lambda a, b: (a[0], a[1] + b[1]),
-                       label="aggregate")
-    )
-    headline: Dict[str, Any] = {}
-    for policy_name, factory in (("cpu_only", cpu_only),
-                                 ("greedy_time", greedy_time)):
-        policy = factory(registry=observability.registry)
-        result = BatchExecutor(cluster, policy=policy).run(plan, dataset)
-        headline[f"sim_time_s.{policy_name}"] = result.sim_time_s
-        # Stages execute back to back; lay their compute/shuffle phases
-        # out on that timeline so the trace shows the BSP structure.
-        clock = 0.0
-        for stage in result.stages:
-            tags = {
-                "subsystem": "frameworks.batch",
-                "policy": policy_name,
-                "operators": "+".join(stage.operator_labels),
-            }
-            observability.spans.record(
-                f"stage{stage.stage_index}.compute",
-                clock, clock + stage.compute_time_s, tags=tags,
-            )
-            clock += stage.compute_time_s
-            if stage.shuffle_time_s > 0:
-                observability.spans.record(
-                    f"stage{stage.stage_index}.shuffle",
-                    clock, clock + stage.shuffle_time_s, tags=tags,
-                )
-                clock += stage.shuffle_time_s
-    headline["gain"] = (
-        headline["sim_time_s.cpu_only"] / headline["sim_time_s.greedy_time"]
-    )
-    return headline
-
-
-def _trace_x11(observability: Observability, seed: int = 0) -> Dict[str, Any]:
-    """X11: incremental max-min repair under faults (repair counters)."""
-    from repro import units
-    from repro.network import fat_tree
-    from repro.network.flows import Flow, IncrementalMaxMinSolver
-
-    fabric = fat_tree(4)
-    hosts = fabric.hosts
-    half = len(hosts) // 2
-    flows = [
-        Flow(
-            i,
-            hosts[(i + seed) % half],
-            hosts[half + (2 * i + seed) % half],
-            100 * units.MB,
-        )
-        for i in range(12)
-    ]
-    solver = IncrementalMaxMinSolver(
-        fabric, flows, registry=observability.registry
-    )
-    schedule = (
-        ("fail_link", ("agg0-0", "core0-0")),
-        ("fail_link", ("tor0-0", "agg0-1")),
-        ("restore_link", ("agg0-0", "core0-0")),
-        ("fail_node", ("agg1-0",)),
-        ("restore_link", ("tor0-0", "agg0-1")),
-        ("restore_node", ("agg1-0",)),
-    )
-    clock = 0.0
-    for op, args in schedule:
-        getattr(solver, op)(*args)
-        observability.spans.record(
-            f"flows.{op}", clock, clock + 1.0,
-            tags={"subsystem": "network.flows", "target": "--".join(args)},
-        )
-        clock += 1.0
-    total_rate = sum(solver.allocations.values())
-    return {
-        "flows": len(flows),
-        "full_solves": solver.full_solves,
-        "incremental_repairs": solver.incremental_repairs,
-        "total_rate_gbytes_per_s": total_rate / units.GB,
-    }
-
-
-def _trace_x2(observability: Observability, seed: int = 0) -> Dict[str, Any]:
-    """X2: online allocation policies (task spans + completion histograms)."""
-    from repro.node import arria10_fpga, nvidia_k80, xeon_e5
-    from repro.scheduler import (
-        Executor,
-        OnlineScheduler,
-        chain_job,
-        poisson_job_stream,
-    )
-
-    scheduler = OnlineScheduler(
-        [
-            Executor("cpu0", "hA", xeon_e5()),
-            Executor("cpu1", "hB", xeon_e5()),
-            Executor("gpu0", "hA", nvidia_k80()),
-            Executor("fpga0", "hB", arria10_fpga()),
-        ],
-        observability=observability,
-    )
-    stream = poisson_job_stream(
-        10,
-        0.002,
-        job_factory=lambda i: chain_job(
-            f"job{i}",
-            ["filter-scan", "dense-gemm", "hash-aggregate"],
-            1_000_000,
-        ),
-        seed=21 + seed,
-    )
-    exclusive = scheduler.run_exclusive(stream)
-    shared = scheduler.run_shared(stream)
-    return {
-        "exclusive_mct_s": exclusive.mean_completion_time_s,
-        "shared_mct_s": shared.mean_completion_time_s,
-        "gain": (
-            exclusive.mean_completion_time_s / shared.mean_completion_time_s
-        ),
-    }
-
-
-def _trace_x7(observability: Observability, seed: int = 0) -> Dict[str, Any]:
-    """X7: ECMP vs least-loaded placement (per-flow spans + imbalance)."""
-    from repro import units
-    from repro.network import compare_assignment_policies, fat_tree
-
-    fabric = fat_tree(4)
-    hosts = fabric.hosts
-    half = len(hosts) // 2
-    specs = [
-        (hosts[i], hosts[half + i], 250 * units.MB) for i in range(8)
-    ]
-    comparison = compare_assignment_policies(
-        fabric, specs, observability=observability
-    )
-    return {
-        "ecmp_completion_s": comparison.ecmp_completion_s,
-        "least_loaded_completion_s": comparison.least_loaded_completion_s,
-        "speedup": comparison.speedup,
-        "ecmp_imbalance": comparison.ecmp_imbalance,
-        "least_loaded_imbalance": comparison.least_loaded_imbalance,
-    }
-
-
-#: Experiment id -> runner producing headline numbers under instrumentation.
-#: Membership must mirror the registry's ``traceable`` flags; the
-#: consistency is asserted by the test suite and re-checked at run time.
-TRACE_RUNNERS: Dict[str, Callable[..., Dict[str, Any]]] = {
-    "E2": _trace_e2,
-    "E6": _trace_e6,
-    "E11": _trace_e11,
-    "X2": _trace_x2,
-    "X7": _trace_x7,
-    "X11": _trace_x11,
-}
+def _accepts_observability(experiment: Experiment) -> bool:
+    """Whether the experiment's entrypoint takes ``observability``."""
+    if not experiment.runnable:
+        return False
+    entrypoint = experiment.resolve_entrypoint()
+    return "observability" in inspect.signature(entrypoint).parameters
 
 
 def traceable_experiments() -> List[str]:
-    """Ids of experiments the registry marks traceable, sorted.
+    """Ids of experiments whose entrypoint accepts ``observability``,
+    sorted.
 
-    Derived from the registry (not a hardcoded CLI list), so newly
-    wired experiments appear automatically.
+    Derived from the registered entrypoints (not a hardcoded list), so
+    newly instrumented experiments appear automatically.
     """
-    return sorted(e.experiment_id for e in EXPERIMENTS if e.traceable)
+    return sorted(
+        e.experiment_id for e in EXPERIMENTS if _accepts_observability(e)
+    )
 
 
 def run_trace(experiment_id: str, seed: int = 0) -> TraceReport:
     """Run ``experiment_id`` instrumented; raises for untraceable ids.
 
-    ``seed`` follows the runner convention: added to the experiment's
-    base seed, with 0 reproducing the historical trace.
+    Calls the registered entrypoint at the experiment's default config
+    (:meth:`~repro.reporting.experiments.Experiment.config`) with a
+    fresh :class:`~repro.engine.Observability`; the run's metrics are
+    the report's headline. A failing run raises rather than being
+    captured, so the error surfaces with its traceback.
     """
     experiment = get_experiment(experiment_id)  # validates the id
-    if not experiment.traceable:
+    if not _accepts_observability(experiment):
         raise RegistryError(
             f"experiment {experiment_id!r} is not traceable; "
             f"choose from {traceable_experiments()}"
         )
-    runner = TRACE_RUNNERS.get(experiment.experiment_id)
-    if runner is None:
-        raise RegistryError(
-            f"registry marks {experiment_id!r} traceable but no trace "
-            "runner is wired in TRACE_RUNNERS"
-        )
     observability = Observability()
-    headline = runner(observability, seed)
+    result = experiment.resolve_entrypoint()(
+        experiment.config(), seed, observability=observability
+    )
     return TraceReport(
         experiment_id=experiment.experiment_id,
         observability=observability,
-        headline=headline,
+        headline=dict(result.metrics),
     )
 
 

@@ -34,7 +34,6 @@ from repro.runner.api import (
     runnable_experiments,
 )
 from repro.runner.cache import ResultCache, cache_key, code_fingerprint
-from repro.runner.entrypoints import QUICK_CONFIGS
 from repro.runner.journal import (
     JOURNAL_SCHEMA,
     JournalReplay,
@@ -57,7 +56,6 @@ __all__ = [
     "JOURNAL_SCHEMA",
     "JournalReplay",
     "JournalWriter",
-    "QUICK_CONFIGS",
     "ResultCache",
     "RunResult",
     "ShardSpec",

@@ -123,18 +123,19 @@ def build_shards(
     experiments: Sequence[Experiment],
     seeds: List[int],
     overrides: Sequence[Dict[str, Any]],
-    base_configs: Optional[Dict[str, Dict[str, Any]]] = None,
+    quick: bool = False,
 ) -> List[ShardSpec]:
     """The deterministic grid order: experiment, then override, then seed.
 
-    ``base_configs`` optionally supplies a per-experiment config layered
-    *under* each override (used for ``--quick`` problem sizes).
+    Each shard carries the effective config from
+    :meth:`~repro.reporting.experiments.Experiment.config`: the
+    experiment's declared defaults, then its ``--quick`` sizes when
+    ``quick``, then the override.
     """
     shards: List[ShardSpec] = []
     for experiment in experiments:
-        base = dict((base_configs or {}).get(experiment.experiment_id, {}))
         for override in overrides:
-            config = {**base, **override}
+            config = experiment.config(override, quick=quick)
             for seed in seeds:
                 shards.append(ShardSpec(
                     index=len(shards),
@@ -174,7 +175,6 @@ def execute_job(
     journaled as done are never re-executed. ``resume`` requires the
     cache -- the journal lives next to it.
     """
-    from repro.runner.entrypoints import QUICK_CONFIGS
     from repro.service.schema import JobResult
 
     spec = request.job.canonical()
@@ -192,10 +192,7 @@ def execute_job(
             "the job journal is kept next to the result cache"
         )
 
-    shards = build_shards(
-        resolved, seed_list, override_list,
-        base_configs=QUICK_CONFIGS if spec.quick else None,
-    )
+    shards = build_shards(resolved, seed_list, override_list, spec.quick)
     total = len(shards)
     by_experiment = {e.experiment_id: e for e in resolved}
     job_id = spec.job_id()
@@ -418,8 +415,9 @@ def run_grid(
     With ``cache_dir`` set and ``use_cache`` true, shards whose key is
     cached are replayed without recompute and fresh ``ok`` results are
     stored back. ``quick`` layers each experiment's reduced smoke-test
-    problem size (:data:`~repro.runner.entrypoints.QUICK_CONFIGS`)
-    under the overrides.
+    problem size (its registry entry's ``quick`` config) under the
+    overrides. An override key the experiment does not declare raises
+    :class:`~repro.errors.RegistryError` before anything runs.
 
     ``resume=True`` (requires ``cache_dir``) replays this grid's
     write-ahead journal before consulting the cache, so a sweep killed

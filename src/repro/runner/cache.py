@@ -1,12 +1,14 @@
 """Content-addressed on-disk cache for experiment results.
 
 A cache entry is keyed by the SHA-256 of the run's full identity:
-experiment id, grid seed, the user-supplied config overrides, and a
-*code fingerprint* -- a hash over the source files of the experiment's
+experiment id, grid seed, the effective config (the registry's declared
+defaults merged with ``--quick`` sizes and overrides), and a *code
+fingerprint* -- a hash over the source files of the experiment's
 implementing modules, its entrypoint module and the library version.
 Editing any implementing module therefore invalidates exactly the
-experiments that depend on it; changing a config override invalidates
-exactly that shard.
+experiments that depend on it; changing a config override -- or a
+declared default in the registry, which the fingerprint does not hash
+-- invalidates exactly the shards whose config it changes.
 
 Only ``ok`` results are ever stored: errors and timeouts always
 recompute, so a transient failure cannot poison future sweeps.

@@ -1,25 +1,28 @@
-"""Runnable entry points for the E-series experiments.
+"""Runnable entry points for the registered experiments.
 
-Each ``run_eN(config, seed)`` wraps the computation that used to live
+Each ``run_<id>(config, seed)`` wraps the computation that used to live
 only inside ``benchmarks/test_bench_*.py`` and returns a
 :class:`~repro.runner.results.RunResult` whose ``metrics`` carry the
 exhibit's headline numbers. The benchmark files are now thin asserts
-over these metrics, and the same functions back ``python -m repro run``.
+over these metrics, and the same functions back ``python -m repro run``
+and ``python -m repro trace``.
 
 Conventions:
 
-- ``config`` holds *overrides*; each entrypoint merges them over its
-  defaults (the benchmark suite's historical problem sizes) and records
-  the merged, effective config in the result.
+- ``config`` is the *effective* config, already merged by
+  :meth:`~repro.reporting.experiments.Experiment.config` from the keys
+  the registry declares (defaults, ``--quick`` sizes, overrides); each
+  entrypoint records it in its result unchanged.
 - ``seed`` is the grid seed. Entrypoints add it to their legacy base
   seed, so seed 0 reproduces the benchmark numbers bit for bit and
   different experiments at the same grid seed stay decorrelated.
   Purely analytic exhibits ignore the seed (and say so here).
+- An entrypoint that takes an ``observability`` keyword is traceable:
+  ``python -m repro trace`` passes an
+  :class:`~repro.engine.Observability` into the calls it already makes.
+  Results are the same with or without it.
 - Everything imports lazily inside the function body, keeping
   ``import repro.runner`` cheap and cycle-free.
-
-``QUICK_CONFIGS`` maps each experiment to a reduced problem size for
-smoke tests and ``python -m repro run --quick``.
 """
 
 from __future__ import annotations
@@ -28,50 +31,18 @@ from typing import Any, Dict, Mapping
 
 from repro.runner.results import RunResult
 
-#: Per-experiment reduced problem sizes for smoke runs.
-QUICK_CONFIGS: Dict[str, Dict[str, Any]] = {
-    "E1": {},
-    "E2": {"n_requests": 800, "sla_requests": 400},
-    "E3": {},
-    "E4": {},
-    "E5": {},
-    "E6": {},
-    "E7": {},
-    "E8": {"n_demands": 600},
-    "E9": {},
-    "E10": {},
-    "E11": {"n_docs": 600},
-    "E12": {"scale": 4},
-    "E13": {},
-    "E14": {"n_events": 20_000},
-    "E15": {},
-    "E16": {},
-    "X12": {"n_requests": 600, "n_reads": 400, "n_jobs": 10},
-    "X14": {"k": 8, "n_requests": 8_000, "duration_s": 2e-3, "shards": 2},
-    "X15": {"n_requests": 3_000},
-    "X16": {"inner_seeds": 2, "probe_sleep_s": 0.1, "service_sleep_s": 1.0},
-    "X17": {"search_horizon_s": 0.8, "memory_horizon_s": 1.0},
-}
-
-
-def _merge(defaults: Dict[str, Any], config: Mapping[str, Any]) -> Dict[str, Any]:
-    """Overrides over defaults; unknown keys are kept (and recorded)."""
-    merged = dict(defaults)
-    merged.update(config)
-    return merged
-
 
 def _result(
     experiment_id: str,
     seed: int,
-    config: Dict[str, Any],
+    config: Mapping[str, Any],
     metrics: Dict[str, Any],
 ) -> RunResult:
     """Assemble the ``ok`` result for one entrypoint."""
     return RunResult(
         experiment_id=experiment_id,
         seed=seed,
-        config=config,
+        config=dict(config),
         metrics=metrics,
     )
 
@@ -85,10 +56,9 @@ def run_e1(config: Mapping[str, Any], seed: int) -> RunResult:
         sector_mix,
     )
 
-    cfg = _merge({"n_interviews": 89, "n_companies": 70}, config)
     corpus = generate_corpus(
-        n_interviews=cfg["n_interviews"],
-        n_companies=cfg["n_companies"],
+        n_interviews=config["n_interviews"],
+        n_companies=config["n_companies"],
         seed=619_788 + seed,
     )
     counts = headline_counts(corpus)
@@ -104,32 +74,30 @@ def run_e1(config: Mapping[str, Any], seed: int) -> RunResult:
         metrics[f"finding{finding.finding_id}.holds"] = finding.holds
         for stat, value in sorted(finding.statistics.items()):
             metrics[f"finding{finding.finding_id}.{stat}"] = value
-    return _result("E1", seed, cfg, metrics)
+    return _result("E1", seed, config, metrics)
 
 
-def run_e2(config: Mapping[str, Any], seed: int) -> RunResult:
-    """E2: Catapult tail-latency reduction and iso-SLA throughput gain."""
+def run_e2(
+    config: Mapping[str, Any], seed: int, observability=None
+) -> RunResult:
+    """E2: Catapult tail-latency reduction and iso-SLA throughput gain.
+
+    ``observability`` instruments the two operating-point runs (DES
+    spans, worker-pool gauges, latency histograms).
+    """
     from repro.workloads import max_qps_within_sla, tail_latency_reduction
 
-    cfg = _merge(
-        {
-            "qps": 2_000.0,
-            "n_requests": 12_000,
-            "sla_s": 0.012,
-            "sla_requests": 4_000,
-        },
-        config,
-    )
     run_seed = 2016 + seed
     point = tail_latency_reduction(
-        cfg["qps"], n_requests=cfg["n_requests"], seed=run_seed
+        config["qps"], n_requests=config["n_requests"], seed=run_seed,
+        observability=observability,
     )
     base_qps = max_qps_within_sla(
-        cfg["sla_s"], accelerated=False, n_requests=cfg["sla_requests"],
+        config["sla_s"], accelerated=False, n_requests=config["sla_requests"],
         seed=run_seed, qps_hi=20_000,
     )
     accel_qps = max_qps_within_sla(
-        cfg["sla_s"], accelerated=True, n_requests=cfg["sla_requests"],
+        config["sla_s"], accelerated=True, n_requests=config["sla_requests"],
         seed=run_seed, qps_hi=20_000,
     )
     metrics = {
@@ -142,7 +110,7 @@ def run_e2(config: Mapping[str, Any], seed: int) -> RunResult:
         "iso_sla_qps_fpga": accel_qps,
         "iso_sla_gain": accel_qps / base_qps,
     }
-    return _result("E2", seed, cfg, metrics)
+    return _result("E2", seed, config, metrics)
 
 
 def run_e3(config: Mapping[str, Any], seed: int) -> RunResult:
@@ -150,8 +118,7 @@ def run_e3(config: Mapping[str, Any], seed: int) -> RunResult:
     from repro.analytics import default_blocks
     from repro.node import arria10_fpga, inference_asic, nvidia_k80, xeon_e5
 
-    cfg = _merge({"batch": 50_000_000}, config)
-    batch = cfg["batch"]
+    batch = config["batch"]
     registry = default_blocks()
     cpu = xeon_e5()
     devices = [nvidia_k80(), arria10_fpga(), inference_asic()]
@@ -172,7 +139,7 @@ def run_e3(config: Mapping[str, Any], seed: int) -> RunResult:
         cpu_energy = block.time_s(cpu, batch) * cpu.tdp_w
         fpga_energy = block.time_s(fpga, batch) * fpga.tdp_w
         metrics[f"energy_gain.{name}"] = cpu_energy / fpga_energy
-    return _result("E3", seed, cfg, metrics)
+    return _result("E3", seed, config, metrics)
 
 
 def run_e4(config: Mapping[str, Any], seed: int) -> RunResult:
@@ -186,27 +153,16 @@ def run_e4(config: Mapping[str, Any], seed: int) -> RunResult:
     )
     from repro.mc import npv_utilization_sweep
 
-    cfg = _merge(
-        {
-            "hardware_usd": 50_000.0,
-            "port_effort_person_months": 9.0,
-            "speedup": 4.0,
-            "baseline_compute_value_usd_per_year": 250_000.0,
-            "accelerator_power_w": 2_400.0,
-            "horizon_years": 3,
-        },
-        config,
-    )
     investment = AcceleratorInvestment(
-        hardware_usd=cfg["hardware_usd"],
-        port_effort_person_months=cfg["port_effort_person_months"],
-        speedup=cfg["speedup"],
+        hardware_usd=config["hardware_usd"],
+        port_effort_person_months=config["port_effort_person_months"],
+        speedup=config["speedup"],
         baseline_compute_value_usd_per_year=(
-            cfg["baseline_compute_value_usd_per_year"]
+            config["baseline_compute_value_usd_per_year"]
         ),
-        accelerator_power_w=cfg["accelerator_power_w"],
+        accelerator_power_w=config["accelerator_power_w"],
         utilization=0.5,
-        horizon_years=cfg["horizon_years"],
+        horizon_years=config["horizon_years"],
     )
     metrics: Dict[str, Any] = {}
     utilizations = (0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 0.9)
@@ -223,7 +179,7 @@ def run_e4(config: Mapping[str, Any], seed: int) -> RunResult:
         metrics[f"breakeven_speedup.{utilization:g}"] = (
             k_star if k_star is not None else None
         )
-    return _result("E4", seed, cfg, metrics)
+    return _result("E4", seed, config, metrics)
 
 
 def run_e5(config: Mapping[str, Any], seed: int) -> RunResult:
@@ -231,10 +187,9 @@ def run_e5(config: Mapping[str, Any], seed: int) -> RunResult:
     from repro.econ import PROCESS_CATALOG, euroserver_reference_design
     from repro.mc import cost_per_unit_curve
 
-    cfg = _merge({"advanced_node": "16nm", "mature_node": "28nm"}, config)
     design = euroserver_reference_design(
-        PROCESS_CATALOG[cfg["advanced_node"]],
-        PROCESS_CATALOG[cfg["mature_node"]],
+        PROCESS_CATALOG[config["advanced_node"]],
+        PROCESS_CATALOG[config["mature_node"]],
     )
     metrics: Dict[str, Any] = {}
     volumes = (1e4, 1e5, 1e6, 1e7, 1e8)
@@ -248,11 +203,16 @@ def run_e5(config: Mapping[str, Any], seed: int) -> RunResult:
     upgrade = design.interface_upgrade_cost_usd("network-io")
     metrics["upgrade_usd.soc"] = upgrade["soc"]
     metrics["upgrade_usd.sip"] = upgrade["sip"]
-    return _result("E5", seed, cfg, metrics)
+    return _result("E5", seed, config, metrics)
 
 
-def run_e6(config: Mapping[str, Any], seed: int) -> RunResult:
-    """E6: branded / white-box / bare-metal fleet TCO sweep (analytic)."""
+def run_e6(
+    config: Mapping[str, Any], seed: int, observability=None
+) -> RunResult:
+    """E6: branded / white-box / bare-metal fleet TCO sweep (analytic).
+
+    ``observability`` collects the per-switch cost counters.
+    """
     from repro.network import (
         bare_metal_switch,
         branded_switch,
@@ -260,29 +220,28 @@ def run_e6(config: Mapping[str, Any], seed: int) -> RunResult:
         white_box_switch,
     )
 
-    cfg = _merge({"fleets": [50, 200, 1_000, 5_000, 20_000]}, config)
     models = {
         "branded": branded_switch(),
         "white-box": white_box_switch(),
         "bare-metal": bare_metal_switch(),
     }
+    registry = observability.registry if observability else None
     metrics: Dict[str, Any] = {}
-    for fleet in cfg["fleets"]:
+    for fleet in config["fleets"]:
         per_switch = {
-            name: fleet_tco_usd(model, fleet) / fleet
+            name: fleet_tco_usd(model, fleet, registry=registry) / fleet
             for name, model in models.items()
         }
         for name, usd in per_switch.items():
             metrics[f"tco_usd_per_switch.{fleet}.{name}"] = usd
         metrics[f"winner.{fleet}"] = min(per_switch, key=per_switch.get)
-    return _result("E6", seed, cfg, metrics)
+    return _result("E6", seed, config, metrics)
 
 
 def run_e7(config: Mapping[str, Any], seed: int) -> RunResult:
     """E7: SDN vs legacy policy rollout across fabric sizes (analytic)."""
     from repro.network import LegacyManagement, SdnController, fat_tree, leaf_spine
 
-    cfg = _merge({"n_rules": 10}, config)
     fabrics = {
         "small": leaf_spine(4, 8, 4),
         "medium": fat_tree(8),
@@ -293,13 +252,13 @@ def run_e7(config: Mapping[str, Any], seed: int) -> RunResult:
     for label, fabric in fabrics.items():
         controller = SdnController(fabric)
         n_switches = len(fabric.switches)
-        sdn_s = controller.policy_rollout_s(cfg["n_rules"])
+        sdn_s = controller.policy_rollout_s(config["n_rules"])
         legacy_s = legacy.policy_rollout_s(n_switches)
         metrics[f"switches.{label}"] = n_switches
         metrics[f"sdn_rollout_s.{label}"] = sdn_s
         metrics[f"legacy_rollout_s.{label}"] = legacy_s
         metrics[f"speedup.{label}"] = legacy_s / sdn_s
-    return _result("E7", seed, cfg, metrics)
+    return _result("E7", seed, config, metrics)
 
 
 def run_e8(config: Mapping[str, Any], seed: int) -> RunResult:
@@ -312,15 +271,11 @@ def run_e8(config: Mapping[str, Any], seed: int) -> RunResult:
     )
     from repro.engine import RandomStream
 
-    cfg = _merge(
-        {"n_demands": 3_000, "n_servers": 24, "n_refresh_servers": 1_000},
-        config,
-    )
     rng = RandomStream(20_160_318 + seed)
-    demands = skewed_demand_stream(cfg["n_demands"], rng)
+    demands = skewed_demand_stream(config["n_demands"], rng)
     stranding = stranding_experiment(
         demands,
-        n_servers=cfg["n_servers"],
+        n_servers=config["n_servers"],
         server_capacity=ResourceVector(32, 256, 4.0),
     )
     metrics: Dict[str, Any] = {}
@@ -334,11 +289,11 @@ def run_e8(config: Mapping[str, Any], seed: int) -> RunResult:
         metrics["placed.composable"] / metrics["placed.converged"]
     )
     for dim in ("cores", "memory_gb", "storage_tb"):
-        comparison = upgrade_cost_comparison(cfg["n_refresh_servers"], dim)
+        comparison = upgrade_cost_comparison(config["n_refresh_servers"], dim)
         metrics[f"refresh_usd.converged.{dim}"] = comparison["converged_usd"]
         metrics[f"refresh_usd.composable.{dim}"] = comparison["composable_usd"]
         metrics[f"refresh_savings.{dim}"] = comparison["savings_fraction"]
-    return _result("E8", seed, cfg, metrics)
+    return _result("E8", seed, config, metrics)
 
 
 def run_e9(config: Mapping[str, Any], seed: int) -> RunResult:
@@ -347,7 +302,6 @@ def run_e9(config: Mapping[str, Any], seed: int) -> RunResult:
     from repro.core.technology import get_technology
     from repro.network import commodity_generation, generations_by_year
 
-    cfg = _merge({"funded_multiplier": 1.8}, config)
     metrics: Dict[str, Any] = {}
     for generation in generations_by_year():
         metrics[f"standard_year.{generation.name}"] = generation.standard_year
@@ -360,10 +314,10 @@ def run_e9(config: Mapping[str, Any], seed: int) -> RunResult:
         tech.trl_2016, 1.0
     )
     metrics["forecast_400gbe.funded"] = commodity_year_forecast(
-        tech.trl_2016, cfg["funded_multiplier"]
+        tech.trl_2016, config["funded_multiplier"]
     )
     metrics["commodity_2016"] = commodity_generation(2016).name
-    return _result("E9", seed, cfg, metrics)
+    return _result("E9", seed, config, metrics)
 
 
 def run_e10(config: Mapping[str, Any], seed: int) -> RunResult:
@@ -371,7 +325,6 @@ def run_e10(config: Mapping[str, Any], seed: int) -> RunResult:
     from repro.node import arria10_fpga, nvidia_k80, xeon_e5
     from repro.scheduler import Executor, HeterogeneousScheduler, fork_join_job
 
-    cfg = _merge({"width": 10, "work": 8_000_000}, config)
     scheduler = HeterogeneousScheduler([
         Executor("cpu0", "hostA", xeon_e5()),
         Executor("cpu1", "hostB", xeon_e5()),
@@ -379,7 +332,8 @@ def run_e10(config: Mapping[str, Any], seed: int) -> RunResult:
         Executor("fpga0", "hostB", arria10_fpga()),
     ])
     job = fork_join_job(
-        "analytics", cfg["width"], "dense-gemm", "hash-aggregate", cfg["work"]
+        "analytics", config["width"], "dense-gemm", "hash-aggregate",
+        config["work"],
     )
     metrics = {
         "makespan_s.fifo": scheduler.fifo(job).makespan_s,
@@ -389,11 +343,16 @@ def run_e10(config: Mapping[str, Any], seed: int) -> RunResult:
     metrics["heft_speedup"] = (
         metrics["makespan_s.fifo"] / metrics["makespan_s.heft"]
     )
-    return _result("E10", seed, cfg, metrics)
+    return _result("E10", seed, config, metrics)
 
 
-def run_e11(config: Mapping[str, Any], seed: int) -> RunResult:
-    """E11: cpu-only vs greedy-offload dataflow pipeline end to end."""
+def run_e11(
+    config: Mapping[str, Any], seed: int, observability=None
+) -> RunResult:
+    """E11: cpu-only vs greedy-offload dataflow pipeline end to end.
+
+    ``observability`` collects both policies' placement counters.
+    """
     from repro.cluster import uniform_cluster
     from repro.frameworks import (
         BatchExecutor,
@@ -406,14 +365,13 @@ def run_e11(config: Mapping[str, Any], seed: int) -> RunResult:
     from repro.node import accelerated_server, arria10_fpga, xeon_e5
     from repro.workloads import zipf_documents
 
-    cfg = _merge({"n_docs": 4_000, "n_partitions": 8}, config)
     cluster = uniform_cluster(
         leaf_spine(2, 2, 2),
         lambda: accelerated_server(xeon_e5(), arria10_fpga()),
     )
-    docs = zipf_documents(cfg["n_docs"], 40, seed=3 + seed)
+    docs = zipf_documents(config["n_docs"], 40, seed=3 + seed)
     dataset = PartitionedDataset.from_records(
-        docs, cfg["n_partitions"], record_bytes=240
+        docs, config["n_partitions"], record_bytes=240
     )
     plan = (
         Plan.source()
@@ -423,8 +381,13 @@ def run_e11(config: Mapping[str, Any], seed: int) -> RunResult:
         .reduce_by_key(lambda kv: kv[0], lambda a, b: (a[0], a[1] + b[1]),
                        label="aggregate")
     )
-    base = BatchExecutor(cluster, policy=cpu_only()).run(plan, dataset)
-    offloaded = BatchExecutor(cluster, policy=greedy_time()).run(plan, dataset)
+    registry = observability.registry if observability else None
+    base = BatchExecutor(
+        cluster, policy=cpu_only(registry=registry)
+    ).run(plan, dataset)
+    offloaded = BatchExecutor(
+        cluster, policy=greedy_time(registry=registry)
+    ).run(plan, dataset)
     metrics = {
         "sim_time_s.cpu_only": base.sim_time_s,
         "sim_time_s.greedy_time": offloaded.sim_time_s,
@@ -434,7 +397,7 @@ def run_e11(config: Mapping[str, Any], seed: int) -> RunResult:
         "records_match": sorted(offloaded.records) == sorted(base.records),
         "n_output_records": len(offloaded.records),
     }
-    return _result("E11", seed, cfg, metrics)
+    return _result("E11", seed, config, metrics)
 
 
 def run_e12(config: Mapping[str, Any], seed: int) -> RunResult:
@@ -451,7 +414,6 @@ def run_e12(config: Mapping[str, Any], seed: int) -> RunResult:
     )
     from repro.workloads import compare_architectures
 
-    cfg = _merge({"scale": 20}, config)
     fabric = lambda: leaf_spine(2, 2, 2)  # noqa: E731 - tiny local factory
     configurations = {
         "cpu": (
@@ -477,7 +439,7 @@ def run_e12(config: Mapping[str, Any], seed: int) -> RunResult:
             greedy_energy(),
         ),
     }
-    results = compare_architectures(configurations, cfg["scale"])
+    results = compare_architectures(configurations, config["scale"])
     metrics: Dict[str, Any] = {}
     outputs_agree = True
     for arch, scores in results.items():
@@ -494,14 +456,13 @@ def run_e12(config: Mapping[str, Any], seed: int) -> RunResult:
         if len(set(counts.values())) != 1:
             outputs_agree = False
     metrics["outputs_agree"] = outputs_agree
-    return _result("E12", seed, cfg, metrics)
+    return _result("E12", seed, config, metrics)
 
 
 def run_e13(config: Mapping[str, Any], seed: int) -> RunResult:
     """E13: 2016 market concentration and lock-in economics (analytic)."""
     from repro.ecosystem import MARKETS_2016, concentration_report, lock_in_premium
 
-    cfg = _merge({"annual_license_usd": 250_000.0}, config)
     metrics: Dict[str, Any] = {}
     for row in concentration_report():
         market = row["market"]
@@ -511,10 +472,10 @@ def run_e13(config: Mapping[str, Any], seed: int) -> RunResult:
     market = MARKETS_2016["gpgpu-top500"]
     for kloc in (50.0, 200.0, 1_000.0):
         premium = lock_in_premium(
-            market, kloc, annual_license_usd=cfg["annual_license_usd"]
+            market, kloc, annual_license_usd=config["annual_license_usd"]
         )
         metrics[f"years_protected.{kloc:g}kloc"] = premium["years_protected"]
-    return _result("E13", seed, cfg, metrics)
+    return _result("E13", seed, config, metrics)
 
 
 def run_e14(config: Mapping[str, Any], seed: int) -> RunResult:
@@ -522,9 +483,8 @@ def run_e14(config: Mapping[str, Any], seed: int) -> RunResult:
     from repro.node import arria10_fpga, nvidia_k80, xeon_e5
     from repro.workloads import convergence_comparison
 
-    cfg = _merge({"n_events": 500_000}, config)
     comparison = convergence_comparison(
-        [xeon_e5(), nvidia_k80(), arria10_fpga()], cfg["n_events"]
+        [xeon_e5(), nvidia_k80(), arria10_fpga()], config["n_events"]
     )
     cpu_rate = comparison["xeon-e5"].sustainable_rate_hz
     metrics: Dict[str, Any] = {}
@@ -535,7 +495,7 @@ def run_e14(config: Mapping[str, Any], seed: int) -> RunResult:
         len({r.n_triggered for r in comparison.values()}) == 1
     )
     metrics["n_triggered"] = comparison["xeon-e5"].n_triggered
-    return _result("E14", seed, cfg, metrics)
+    return _result("E14", seed, config, metrics)
 
 
 def run_e15(config: Mapping[str, Any], seed: int) -> RunResult:
@@ -549,7 +509,6 @@ def run_e15(config: Mapping[str, Any], seed: int) -> RunResult:
         port_effort_person_months,
     )
 
-    cfg = _merge({"n_kernels": 10}, config)
     devices = list(default_registry())
     matrix = AbstractionMatrix(devices)
     metrics: Dict[str, Any] = {"n_devices": len(devices)}
@@ -568,12 +527,12 @@ def run_e15(config: Mapping[str, Any], seed: int) -> RunResult:
     for name in ("cpu_only", "portable_kernel", "native_everywhere"):
         strategy = PortingStrategy(name)
         metrics[f"port_effort_pm.{name}"] = port_effort_person_months(
-            strategy, cfg["n_kernels"], devices
+            strategy, config["n_kernels"], devices
         )
         metrics[f"mean_throughput_frac.{name}"] = sum(
             achievable_throughput_fraction(strategy, d) for d in devices
         ) / len(devices)
-    return _result("E15", seed, cfg, metrics)
+    return _result("E15", seed, config, metrics)
 
 
 def run_e16(config: Mapping[str, Any], seed: int) -> RunResult:
@@ -586,7 +545,6 @@ def run_e16(config: Mapping[str, Any], seed: int) -> RunResult:
     )
     from repro.survey import generate_corpus
 
-    cfg = _merge({"budgets_meur": [50.0, 100.0, 200.0, 335.0]}, config)
     corpus = generate_corpus(seed=619_788 + seed)
     scored = score_all(corpus)
     metrics: Dict[str, Any] = {
@@ -599,33 +557,162 @@ def run_e16(config: Mapping[str, Any], seed: int) -> RunResult:
         metrics[f"strategic.R{rec_id}"] = entry.strategic_score
         metrics[f"urgency.R{rec_id}"] = entry.urgency_score
         metrics[f"priority.R{rec_id}"] = entry.priority
-    for budget in cfg["budgets_meur"]:
+    for budget in config["budgets_meur"]:
         exact = optimize_portfolio(scored, budget)
         greedy = greedy_portfolio(scored, budget)
         metrics[f"knapsack_priority.{budget:g}"] = exact.total_priority
         metrics[f"greedy_priority.{budget:g}"] = greedy.total_priority
         metrics[f"funded.{budget:g}"] = list(exact.rec_ids)
     metrics["full_budget_funds_all"] = (
-        len(optimize_portfolio(scored, cfg["budgets_meur"][-1]).selected)
+        len(optimize_portfolio(scored, config["budgets_meur"][-1]).selected)
         == len(RECOMMENDATIONS)
     )
-    return _result("E16", seed, cfg, metrics)
+    return _result("E16", seed, config, metrics)
+
+
+def run_x2(
+    config: Mapping[str, Any], seed: int, observability=None
+) -> RunResult:
+    """X2: FIFO whole-pool vs work-conserving shared online allocation.
+
+    ``observability`` records per-task spans and completion-time
+    histograms for both policies.
+    """
+    from repro.node import arria10_fpga, nvidia_k80, xeon_e5
+    from repro.scheduler import (
+        Executor,
+        OnlineScheduler,
+        chain_job,
+        poisson_job_stream,
+    )
+
+    scheduler = OnlineScheduler(
+        [
+            Executor("cpu0", "hA", xeon_e5()),
+            Executor("cpu1", "hB", xeon_e5()),
+            Executor("gpu0", "hA", nvidia_k80()),
+            Executor("fpga0", "hB", arria10_fpga()),
+        ],
+        observability=observability,
+    )
+    stream = poisson_job_stream(
+        config["n_jobs"],
+        config["mean_interarrival_s"],
+        job_factory=lambda i: chain_job(
+            f"job{i}",
+            ["filter-scan", "dense-gemm", "hash-aggregate"],
+            config["work"],
+        ),
+        seed=21 + seed,
+    )
+    exclusive = scheduler.run_exclusive(stream)
+    shared = scheduler.run_shared(stream)
+    metrics = {
+        "exclusive_mct_s": exclusive.mean_completion_time_s,
+        "shared_mct_s": shared.mean_completion_time_s,
+        "gain": (
+            exclusive.mean_completion_time_s / shared.mean_completion_time_s
+        ),
+    }
+    return _result("X2", seed, config, metrics)
+
+
+def run_x7(
+    config: Mapping[str, Any], seed: int, observability=None
+) -> RunResult:
+    """X7: ECMP hashing vs least-loaded elephant-flow placement (seed unused).
+
+    ``observability`` records one span per flow plus completion-time
+    histograms and link-imbalance gauges per policy.
+    """
+    from repro import units
+    from repro.network import compare_assignment_policies, fat_tree
+
+    fabric = fat_tree(config["k"])
+    hosts = fabric.hosts
+    half = len(hosts) // 2
+    specs = [
+        (hosts[i], hosts[half + i], config["flow_mb"] * units.MB)
+        for i in range(config["n_flows"])
+    ]
+    comparison = compare_assignment_policies(
+        fabric, specs, observability=observability
+    )
+    metrics = {
+        "ecmp_completion_s": comparison.ecmp_completion_s,
+        "least_loaded_completion_s": comparison.least_loaded_completion_s,
+        "speedup": comparison.speedup,
+        "ecmp_imbalance": comparison.ecmp_imbalance,
+        "least_loaded_imbalance": comparison.least_loaded_imbalance,
+    }
+    return _result("X7", seed, config, metrics)
+
+
+def run_x11(
+    config: Mapping[str, Any], seed: int, observability=None
+) -> RunResult:
+    """X11: incremental max-min repair through a fixed fault schedule.
+
+    ``observability`` collects the solver's repair/full-solve counters
+    and one span per fault-schedule step.
+    """
+    from repro import units
+    from repro.network import fat_tree
+    from repro.network.flows import Flow, IncrementalMaxMinSolver
+
+    fabric = fat_tree(config["k"])
+    hosts = fabric.hosts
+    half = len(hosts) // 2
+    flows = [
+        Flow(
+            i,
+            hosts[(i + seed) % half],
+            hosts[half + (2 * i + seed) % half],
+            config["flow_mb"] * units.MB,
+        )
+        for i in range(config["n_flows"])
+    ]
+    solver = IncrementalMaxMinSolver(
+        fabric, flows,
+        registry=observability.registry if observability else None,
+    )
+    schedule = (
+        ("fail_link", ("agg0-0", "core0-0")),
+        ("fail_link", ("tor0-0", "agg0-1")),
+        ("restore_link", ("agg0-0", "core0-0")),
+        ("fail_node", ("agg1-0",)),
+        ("restore_link", ("tor0-0", "agg0-1")),
+        ("restore_node", ("agg1-0",)),
+    )
+    for step, (op, args) in enumerate(schedule):
+        getattr(solver, op)(*args)
+        if observability is not None:
+            observability.spans.record(
+                f"flows.{op}", float(step), step + 1.0,
+                tags={"subsystem": "network.flows", "target": "--".join(args)},
+            )
+    metrics = {
+        "flows": len(flows),
+        "full_solves": solver.full_solves,
+        "incremental_repairs": solver.incremental_repairs,
+        "total_rate_gbytes_per_s": (
+            sum(solver.allocations.values()) / units.GB
+        ),
+    }
+    return _result("X11", seed, config, metrics)
 
 
 def run_x12(config: Mapping[str, Any], seed: int) -> RunResult:
     """X12: workloads under injected faults, resilience policies on/off."""
     from repro.workloads import chaos_exhibit
 
-    cfg = _merge(
-        {"n_requests": 4_000, "n_reads": 2_500, "n_jobs": 24}, config
-    )
     metrics = chaos_exhibit(
-        n_requests=cfg["n_requests"],
-        n_reads=cfg["n_reads"],
-        n_jobs=cfg["n_jobs"],
+        n_requests=config["n_requests"],
+        n_reads=config["n_reads"],
+        n_jobs=config["n_jobs"],
         seed=seed,
     )
-    return _result("X12", seed, cfg, metrics)
+    return _result("X12", seed, config, metrics)
 
 
 def run_x14(config: Mapping[str, Any], seed: int) -> RunResult:
@@ -650,22 +737,9 @@ def run_x14(config: Mapping[str, Any], seed: int) -> RunResult:
         simulate_fabric_sharded,
     )
 
-    cfg = _merge(
-        {
-            "fabric": "fat-tree",
-            "k": 90,
-            "n_requests": 1_000_000,
-            "duration_s": 4e-3,
-            "shards": 4,
-            "inline": False,
-            "with_faults": True,
-            "trace_out": "",
-        },
-        config,
-    )
-    duration = float(cfg["duration_s"])
+    duration = float(config["duration_s"])
     fault_specs = ()
-    if cfg["with_faults"]:
+    if config["with_faults"]:
         # Targets chosen to exist for every even k >= 4 (quick runs use
         # k=8), including links on the pod-aligned boundary cut so the
         # cross-shard invalidation path is always exercised.
@@ -686,22 +760,22 @@ def run_x14(config: Mapping[str, Any], seed: int) -> RunResult:
             ),
         )
     workload = FabricWorkload(
-        fabric=cfg["fabric"],
-        k=cfg["k"],
-        n_requests=cfg["n_requests"],
+        fabric=config["fabric"],
+        k=config["k"],
+        n_requests=config["n_requests"],
         duration_s=duration,
         seed=101_250 + seed,
         fault_specs=fault_specs,
     )
-    shards = int(cfg["shards"])
+    shards = int(config["shards"])
     if shards == 1:
         run = simulate_fabric(workload)
     else:
         run = simulate_fabric_sharded(
-            workload, shards, inline=bool(cfg["inline"])
+            workload, shards, inline=bool(config["inline"])
         )
-    if cfg["trace_out"]:
-        out_path = Path(cfg["trace_out"])
+    if config["trace_out"]:
+        out_path = Path(config["trace_out"])
         if out_path.parent != Path("."):
             out_path.parent.mkdir(parents=True, exist_ok=True)
         with out_path.open("w") as handle:
@@ -713,7 +787,7 @@ def run_x14(config: Mapping[str, Any], seed: int) -> RunResult:
     for key in ("shards", "rounds", "boundary_events", "lookahead_us"):
         if key in run.diagnostics:
             metrics[key] = run.diagnostics[key]
-    return _result("X14", seed, cfg, metrics)
+    return _result("X14", seed, config, metrics)
 
 
 def run_x15(config: Mapping[str, Any], seed: int) -> RunResult:
@@ -727,27 +801,17 @@ def run_x15(config: Mapping[str, Any], seed: int) -> RunResult:
     """
     from repro.workloads.servicesim import service_exhibit
 
-    cfg = _merge(
-        {
-            "n_requests": 50_000,
-            "arrival_rate_hz": 2_000.0,
-            "n_workers": 8,
-            "queue_cap": 48,
-            "per_client_cap": 4,
-        },
-        config,
-    )
     metrics = service_exhibit(
-        n_requests=cfg["n_requests"],
+        n_requests=config["n_requests"],
         seed=seed,
         overrides={
-            "arrival_rate_hz": cfg["arrival_rate_hz"],
-            "n_workers": cfg["n_workers"],
-            "queue_cap": cfg["queue_cap"],
-            "per_client_cap": cfg["per_client_cap"],
+            "arrival_rate_hz": config["arrival_rate_hz"],
+            "n_workers": config["n_workers"],
+            "queue_cap": config["queue_cap"],
+            "per_client_cap": config["per_client_cap"],
         },
     )
-    return _result("X15", seed, cfg, metrics)
+    return _result("X15", seed, config, metrics)
 
 
 def run_x16(config: Mapping[str, Any], seed: int) -> RunResult:
@@ -771,18 +835,13 @@ def run_x16(config: Mapping[str, Any], seed: int) -> RunResult:
         self_chaos_exhibit,
     )
 
-    cfg = _merge(
-        {"probe": False, "sleep_s": 0.0, "crash_marker_dir": None,
-         **CHAOS_DEFAULTS},
-        config,
-    )
-    if cfg["probe"]:
-        return _result("X16", seed, cfg, probe_metrics(cfg, seed))
+    if config["probe"]:
+        return _result("X16", seed, config, probe_metrics(config, seed))
     metrics = self_chaos_exhibit(
         seed=seed,
-        overrides={key: cfg[key] for key in CHAOS_DEFAULTS},
+        overrides={key: config[key] for key in CHAOS_DEFAULTS},
     )
-    return _result("X16", seed, cfg, metrics)
+    return _result("X16", seed, config, metrics)
 
 
 def run_x17(config: Mapping[str, Any], seed: int) -> RunResult:
@@ -798,20 +857,11 @@ def run_x17(config: Mapping[str, Any], seed: int) -> RunResult:
     """
     from repro.workloads.scenario import chaos_load_exhibit
 
-    cfg = _merge(
-        {
-            "base_qps": 700.0,
-            "search_horizon_s": 4.0,
-            "base_read_hz": 400.0,
-            "memory_horizon_s": 5.0,
-        },
-        config,
-    )
     metrics = chaos_load_exhibit(
-        base_qps=cfg["base_qps"],
-        search_horizon_s=cfg["search_horizon_s"],
-        base_read_hz=cfg["base_read_hz"],
-        memory_horizon_s=cfg["memory_horizon_s"],
+        base_qps=config["base_qps"],
+        search_horizon_s=config["search_horizon_s"],
+        base_read_hz=config["base_read_hz"],
+        memory_horizon_s=config["memory_horizon_s"],
         seed=seed,
     )
-    return _result("X17", seed, cfg, metrics)
+    return _result("X17", seed, config, metrics)

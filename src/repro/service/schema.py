@@ -121,13 +121,16 @@ class JobSpec:
 
         Expands ``"all"``, upper-cases and de-duplicates experiment ids
         (registry order), so ``e2`` and ``E2`` coalesce to the same job.
-        Raises :class:`~repro.errors.RegistryError` for unknown ids.
+        Raises :class:`~repro.errors.RegistryError` for unknown ids and
+        for an override key some requested experiment does not declare.
         """
         from repro.runner.api import resolve_experiments
 
-        resolved = tuple(
-            e.experiment_id for e in resolve_experiments(list(self.experiments))
-        )
+        experiments = resolve_experiments(list(self.experiments))
+        for experiment in experiments:
+            for override in self.overrides:
+                experiment.config(override)
+        resolved = tuple(e.experiment_id for e in experiments)
         if resolved == self.experiments:
             return self
         return JobSpec(

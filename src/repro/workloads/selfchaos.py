@@ -44,19 +44,10 @@ from pathlib import Path
 from typing import Any, Dict, Mapping, Optional
 
 from repro.errors import ServiceError
+from repro.reporting.experiments import CHAOS_DEFAULTS
 from repro.runner.journal import read_journal
 from repro.runner.pool import ShardSpec, run_shards
 from repro.runner.results import GridResult, RunResult
-
-#: Knobs of the full exhibit (overridable via ``run_x16`` config).
-CHAOS_DEFAULTS: Dict[str, Any] = {
-    "inner_seeds": 3,       # seeds per inner grid
-    "jobs": 2,              # pool width of the inner grids
-    "probe_sleep_s": 0.2,   # per-shard sleep: the kill window
-    "service_sleep_s": 2.0, # shard sleep of the job the service loses
-    "kill_after_done": 1,   # journalled shard-dones before parent kill
-    "deadline_s": 120.0,    # watchdog for every external wait
-}
 
 
 def probe_metrics(config: Mapping[str, Any], seed: int) -> Dict[str, Any]:

@@ -3,7 +3,6 @@
 import pytest
 
 from repro import units
-from repro.engine import MetricSeries
 from repro.errors import ModelError
 from repro.network import FUNCTION_CATALOG, ServiceChain, VnfHost
 from repro.node import MemoryLevel, dram, hdd, nvm, ssd
@@ -61,16 +60,6 @@ class TestMemoryLevels:
             MemoryLevel("x", 0.0, 1e9, 1e-7, 1.0)
         with pytest.raises(ModelError):
             MemoryLevel("x", 1e9, 1e9, -1.0, 1.0)
-
-
-class TestMetricAccessors:
-    def test_times_and_values_are_copies(self):
-        series = MetricSeries("x")
-        series.record(1.0, 10.0)
-        values = series.values
-        values.append(999.0)
-        assert len(series) == 1
-        assert series.times == [1.0]
 
 
 class TestRenderTableDetails:

@@ -1,16 +1,21 @@
 """Tests for instrumented experiment runs (``python -m repro trace``)."""
 
+import inspect
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.errors import RegistryError
 from repro.reporting import (
-    TRACE_RUNNERS,
+    EXPERIMENTS,
     render_trace_report,
     run_trace,
     traceable_experiments,
 )
+from repro.runner import run_experiment
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
 
 
 class TestRegistry:
@@ -22,7 +27,17 @@ class TestRegistry:
             assert experiment_id in table
 
     def test_at_least_three_experiments_traceable(self):
-        assert len(TRACE_RUNNERS) >= 3
+        assert len(traceable_experiments()) >= 3
+
+    def test_traceable_means_entrypoint_accepts_observability(self):
+        accepting = sorted(
+            e.experiment_id for e in EXPERIMENTS
+            if e.runnable and "observability" in inspect.signature(
+                e.resolve_entrypoint()
+            ).parameters
+        )
+        assert traceable_experiments() == accepting
+        assert set(accepting) == {"E2", "E6", "E11", "X2", "X7", "X11"}
 
     def test_unknown_experiment_rejected(self):
         with pytest.raises(RegistryError):
@@ -31,6 +46,32 @@ class TestRegistry:
     def test_untraceable_experiment_rejected_with_hint(self):
         with pytest.raises(RegistryError, match="not traceable"):
             run_trace("T1")
+
+
+class TestTraceIsTheRun:
+    @pytest.mark.parametrize("experiment_id", traceable_experiments())
+    def test_headline_equals_run_metrics(self, experiment_id):
+        report = run_trace(experiment_id, seed=0)
+        result = run_experiment(experiment_id, seed=0)
+        assert result.ok, result.error
+        assert report.headline == result.metrics
+
+    @pytest.mark.parametrize("experiment_id", ["X2", "X7", "X11"])
+    def test_trace_jsonl_matches_golden(self, experiment_id, tmp_path):
+        # The goldens pin each span log byte for byte at seed 0 and the
+        # exhibit's default config.
+        path = tmp_path / "trace.jsonl"
+        run_trace(experiment_id, seed=0).write_jsonl(str(path))
+        golden = GOLDEN_DIR / f"{experiment_id.lower()}_trace_seed0.jsonl"
+        assert path.read_bytes() == golden.read_bytes()
+
+    def test_e2_trace_reports_dropped_spans(self):
+        # Two 12,000-request search runs record 36,000 spans each: more
+        # than the 65,536-span buffer holds.
+        snapshot = run_trace("E2").snapshot()
+        assert snapshot["spans"]["recorded"] == 65_536
+        assert snapshot["spans"]["dropped"] == 72_000 - 65_536
+        assert snapshot["counters"]["search.requests"] == 24_000
 
 
 class TestTraceRuns:
@@ -67,8 +108,14 @@ class TestTraceRuns:
         snapshot = report.snapshot()
         assert snapshot["spans"]["recorded"] == 0
         counters = snapshot["counters"]
-        assert counters["switch.branded-tor.fleet_evaluations"] == 3
+        # One evaluation per fleet size of E6's run config (five fleets).
+        assert counters["switch.branded-tor.fleet_evaluations"] == 5
         assert any(name.endswith(".usd.hardware") for name in counters)
+
+    def test_e11_placement_counters_per_policy(self):
+        counters = run_trace("E11").snapshot()["counters"]
+        for policy in ("cpu_only", "greedy_time"):
+            assert counters[f"offload.{policy}.decisions"] > 0
 
     def test_report_renders_and_exports(self, x2_report, tmp_path):
         text = render_trace_report(x2_report)

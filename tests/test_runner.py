@@ -20,11 +20,11 @@ from repro.engine.observability import Registry
 from repro.errors import RegistryError
 from repro.reporting import get_experiment
 from repro.runner import (
-    QUICK_CONFIGS,
     GridResult,
     ResultCache,
     RunResult,
     ShardSpec,
+    build_shards,
     cache_key,
     resolve_entrypoint,
     resolve_experiments,
@@ -121,9 +121,7 @@ class TestEntrypointConformance:
         experiment = get_experiment(experiment_id)
         fn = resolve_entrypoint(experiment.entrypoint)
         assert callable(fn)
-        result = run_experiment(
-            experiment_id, config=QUICK_CONFIGS.get(experiment_id)
-        )
+        result = run_experiment(experiment_id, config=experiment.quick)
         assert isinstance(result, RunResult)
         assert result.ok, result.error
         assert result.experiment_id == experiment_id
@@ -206,6 +204,23 @@ class TestCache:
         assert cache_key(experiment, 1, {}) != base
         assert cache_key(experiment, 0, {"speedup": 5.0}) != base
         assert cache_key(experiment, 0, {}) == base
+
+    def test_declared_default_change_invalidates_cache(
+        self, tmp_path, monkeypatch
+    ):
+        # The code fingerprint does not hash the registry module; the
+        # key covers the merged config, so a changed default is a miss.
+        experiment = get_experiment("E4")
+        cache_dir = tmp_path / "cache"
+        before = build_shards([experiment], [0], [{}])[0]
+        run_grid(["E4"], seeds=1, cache_dir=cache_dir)
+        monkeypatch.setitem(experiment.defaults, "speedup", 5.0)
+        after = build_shards([experiment], [0], [{}])[0]
+        assert (cache_key(experiment, 0, after.config)
+                != cache_key(experiment, 0, before.config))
+        changed = run_grid(["E4"], seeds=1, cache_dir=cache_dir)
+        assert changed.stats["recomputed"] == 1
+        assert changed.results[0].config["speedup"] == 5.0
 
     def test_failed_results_never_cached(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
@@ -306,6 +321,75 @@ class TestCache:
         entry = cache.get(key)
         assert entry is not None
         assert entry.metrics == {"m": 1}
+
+
+# ---------------------------------------------------------------------------
+# declared config keys
+
+
+class TestConfigValidation:
+    def test_registry_declares_every_runnable_config(self):
+        for experiment_id in runnable_experiments():
+            experiment = get_experiment(experiment_id)
+            assert experiment.defaults, experiment_id
+            assert set(experiment.quick) <= set(experiment.defaults)
+
+    def test_config_merges_defaults_quick_then_override(self):
+        experiment = get_experiment("E2")
+        assert experiment.config()["n_requests"] == 12_000
+        assert experiment.config(quick=True)["n_requests"] == 800
+        merged = experiment.config({"n_requests": 5}, quick=True)
+        assert merged["n_requests"] == 5
+        assert merged["sla_requests"] == 400
+        assert merged["qps"] == 2_000.0
+
+    def test_undeclared_key_rejected_naming_declared_keys(self):
+        with pytest.raises(RegistryError) as excinfo:
+            get_experiment("E1").config({"no_such_key": 3})
+        message = str(excinfo.value)
+        assert "no_such_key" in message
+        assert "n_companies" in message and "n_interviews" in message
+
+    def test_cli_rejects_undeclared_key_before_any_worker(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        from repro.__main__ import main
+        from repro.runner import api
+
+        def no_workers(*args, **kwargs):
+            raise AssertionError("a worker was started")
+
+        monkeypatch.setattr(api, "run_shards", no_workers)
+        rc = main([
+            "run", "E1", "--no-cache", "--out-dir", str(tmp_path),
+            "--set", "no_such_key=3",
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "no_such_key" in err
+        assert "['n_companies', 'n_interviews']" in err
+        assert not (tmp_path / "results.json").exists()
+
+    def test_override_must_be_declared_by_every_experiment(
+        self, tmp_path, capsys
+    ):
+        from repro.__main__ import main
+
+        rc = main([
+            "run", "E1", "E2", "--no-cache", "--out-dir", str(tmp_path),
+            "--set", "n_requests=5",
+        ])
+        assert rc == 2
+        assert "'E1'" in capsys.readouterr().err
+        assert not (tmp_path / "results.json").exists()
+
+    def test_bad_value_of_declared_key_is_a_failed_run(self):
+        grid = run_grid(
+            "E1", overrides=[{"n_interviews": -5}], use_cache=False,
+            retries=0,
+        )
+        assert not grid.all_ok
+        assert grid.results[0].status == "error"
 
 
 # ---------------------------------------------------------------------------

@@ -187,6 +187,15 @@ class TestEndpoints:
             client._request("POST", "/v1/jobs", payload)
         assert excinfo.value.code == "unsupported-version"
 
+    def test_undeclared_override_key_is_bad_request(self, service):
+        handle, client, registry = service()
+        with pytest.raises(ServiceError) as excinfo:
+            client.submit("E1", overrides=[{"no_such_key": 3}])
+        assert excinfo.value.code == "bad-request"
+        assert excinfo.value.status == 400
+        assert "no_such_key" in str(excinfo.value)
+        assert registry.counter("runner.pool_spawns").value == 0
+
     def test_admission_sheds_past_the_pending_bound(
         self, service, monkeypatch
     ):

@@ -41,6 +41,7 @@ from repro.mc.traffic import (
     scenario_trace,
     session_lengths,
 )
+from repro.reporting import get_experiment
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -441,8 +442,8 @@ class TestX15RerouteByteIdentity:
         assert path.read_bytes() == golden
 
 
-#: X17's registered quick problem size (QUICK_CONFIGS["X17"]).
-_X17_QUICK = {"search_horizon_s": 0.8, "memory_horizon_s": 1.0}
+#: X17's registered quick problem size.
+_X17_QUICK = dict(get_experiment("X17").quick)
 
 
 class TestX17Registration:
