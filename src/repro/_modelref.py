@@ -40,6 +40,7 @@ __all__ = [
     "reference_hhi",
     "reference_npv_sweep",
     "reference_payback_sweep",
+    "reference_sales_table",
     "reference_sampled_market_shares",
     "reference_sampled_unit_costs",
     "reference_session_lengths",
@@ -549,3 +550,42 @@ def reference_client_ids(
         [int(np.searchsorted(cdf, rng.random(), side="right")) for _ in range(n)],
         dtype=np.int64,
     )
+
+
+# ---------------------------------------------------------------------------
+# R9 suite orders table (workloads/generator.py before the per-row hoist).
+# ---------------------------------------------------------------------------
+
+
+def reference_sales_table(
+    n_rows: int, n_customers: int = 500, seed: int = 0
+) -> List[Dict[str, object]]:
+    """Per-row orders table: every row rebuilds its samplers from scratch.
+
+    Frozen copy of the original :func:`repro.workloads.sales_table` loop:
+    each row renormalizes the Zipf(1.1) customer weights and makes three
+    validated ``Generator.choice`` calls plus one lognormal draw, in that
+    order, on the ``default_rng(seed)`` stream.
+    """
+    rng = np.random.default_rng(int(seed))
+    regions = ("EU", "US", "APAC")
+    sectors = ("telecom", "finance", "health", "automotive", "analytics")
+    rows: List[Dict[str, object]] = []
+    for i in range(n_rows):
+        ranks = np.arange(1, n_customers + 1, dtype=float)
+        weights = ranks**-1.1
+        weights /= weights.sum()
+        customer = rng.choice(n_customers, size=1, p=weights)[0]
+        region = regions[int(rng.choice(len(regions), p=[0.5, 0.3, 0.2]))]
+        sector = sectors[int(rng.choice(len(sectors)))]
+        amount = round(float(rng.lognormal(np.log(120.0), 1.2)), 2)
+        rows.append(
+            {
+                "order_id": i,
+                "customer": f"c{customer}",
+                "region": region,
+                "sector": sector,
+                "amount": amount,
+            }
+        )
+    return rows

@@ -9,7 +9,7 @@ a declarative way the data placement and unit of parallelization".
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, List, Sequence
+from typing import Any, Callable, Dict, List, Sequence
 
 from repro.errors import PlanError
 
@@ -76,20 +76,32 @@ class PartitionedDataset:
     def repartition_by_key(
         self, key_fn: Callable[[Any], Any], n_partitions: int
     ) -> "PartitionedDataset":
-        """Hash-partition records by ``key_fn`` (the shuffle data path)."""
+        """Hash-partition records by ``key_fn`` (the shuffle data path).
+
+        A key's bucket depends only on its ``repr``, so each distinct
+        ``repr`` is hashed once per call and looked up after that.
+        """
         if n_partitions < 1:
             raise PlanError("need at least one partition")
         parts: List[List[Any]] = [[] for _ in range(n_partitions)]
+        buckets: Dict[str, int] = {}
         for partition in self.partitions:
             for record in partition:
-                bucket = _stable_bucket(key_fn(record), n_partitions)
+                text = repr(key_fn(record))
+                bucket = buckets.get(text)
+                if bucket is None:
+                    bucket = buckets[text] = _text_bucket(text, n_partitions)
                 parts[bucket].append(record)
         return PartitionedDataset(parts, record_bytes=self.record_bytes)
 
 
 def _stable_bucket(key: Any, n: int) -> int:
     """Deterministic hash bucket (``hash()`` is salted for str)."""
-    text = repr(key)
+    return _text_bucket(repr(key), n)
+
+
+def _text_bucket(text: str, n: int) -> int:
+    """FNV-1a of ``text``'s UTF-8 bytes, modulo ``n``."""
     value = 2166136261
     for byte in text.encode("utf-8"):
         value = ((value ^ byte) * 16777619) % (2**32)

@@ -7,7 +7,10 @@ specs stay trivially picklable and no callables cross the process
 boundary. A shard that raises is captured as an ``error`` result with
 its traceback; a shard that exceeds the per-run timeout is terminated
 and recorded as ``timeout``; both are retried up to ``retries`` times
-before the failure is accepted into the sweep.
+before the failure is accepted into the sweep. The exception is an
+error from the library's own :class:`~repro.errors.ReproError` family
+(say, a ``ModelError`` for a bad config value): the shard would raise
+it again on every attempt, so it is final at once.
 
 Hard worker death is a third, distinct failure class: the child
 process vanished (SIGKILL, OOM-kill, a segfault in native code) without
@@ -37,7 +40,7 @@ from dataclasses import dataclass, field
 from multiprocessing.connection import wait as connection_wait
 from typing import Any, Callable, Dict, List, Optional
 
-from repro.errors import RegistryError
+from repro.errors import RegistryError, ReproError
 from repro.runner.results import RunResult
 
 #: Seconds between liveness polls of in-flight workers.
@@ -91,14 +94,16 @@ def execute_shard(spec: ShardSpec) -> RunResult:
                 f"{result.experiment_id!r}, expected {spec.experiment_id!r}"
             )
         return result
-    except Exception:
-        return RunResult(
+    except Exception as exc:
+        failed = RunResult(
             experiment_id=spec.experiment_id,
             seed=spec.seed,
             config=dict(spec.config),
             status="error",
             error=traceback.format_exc(),
         )
+        failed.retryable = not isinstance(exc, ReproError)
+        return failed
 
 
 def _child_main(conn, spec: ShardSpec) -> None:
@@ -152,8 +157,9 @@ def run_shards(
 
     ``timeout_s`` bounds each attempt's wall time (pooled mode only;
     inline ``jobs=1`` execution cannot preempt a running shard).
-    ``retries`` is the number of *re*-attempts after a failure, so every
-    shard runs at most ``retries + 1`` times. ``on_start`` /
+    ``retries`` is the number of *re*-attempts after a retryable failure
+    (any but a ``ReproError``), so every shard runs at most
+    ``retries + 1`` times. ``on_start`` /
     ``on_complete`` are progress hooks invoked in the parent.
     ``on_crash(spec, attempt)`` fires in the parent each time a worker
     process dies without reporting a result (pooled mode only: inline
@@ -185,7 +191,7 @@ def _run_inline(shards, retries, on_complete, on_start) -> List[RunResult]:
             result = execute_shard(spec)
             result.attempts = attempt
             result.wall_s = time.perf_counter() - started
-            if result.ok:
+            if result.ok or not result.retryable:
                 break
         if on_complete is not None:
             on_complete(spec, result)
@@ -243,7 +249,8 @@ def _run_pooled(
             result.status == "crashed"
             and crash_counts.get(flight.spec.index, 0) >= _CRASH_QUARANTINE_AT
         )
-        if not result.ok and not quarantined and flight.attempt <= retries:
+        if (not result.ok and result.retryable and not quarantined
+                and flight.attempt <= retries):
             queue.append((flight.spec, flight.attempt + 1))
             return
         done[flight.spec.index] = result

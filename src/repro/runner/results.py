@@ -42,7 +42,9 @@ class RunResult:
     their own base seeds so seed 0 reproduces the benchmark-suite
     numbers exactly. ``cached`` and ``wall_s`` describe *this* process's
     view of the run (was it served from the on-disk cache, how long did
-    it take) and are never serialized.
+    it take) and are never serialized; neither is ``retryable``, false
+    when the failure is deterministic and another attempt would only
+    repeat it.
     """
 
     experiment_id: str
@@ -54,6 +56,7 @@ class RunResult:
     attempts: int = 1
     cached: bool = field(default=False, compare=False)
     wall_s: float = field(default=0.0, compare=False)
+    retryable: bool = field(default=True, compare=False, init=False)
 
     def __post_init__(self) -> None:
         if self.status not in RUN_STATUSES:

@@ -8,6 +8,7 @@ tables, IoT sensor readings and web-like graphs.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import Any, Dict, List, Tuple
 
 import numpy as np
@@ -77,24 +78,49 @@ def clickstream(
 def sales_table(
     n_rows: int, n_customers: int = 500, seed: int = 0
 ) -> List[Dict[str, Any]]:
-    """A TPC-H-flavoured orders table."""
+    """A TPC-H-flavoured orders table.
+
+    The samplers are built once per call; each row then draws, in order,
+    a customer uniform, a region uniform, a sector integer and a
+    lognormal amount. These are the variates ``Generator.choice(p=...)``
+    (a uniform searched right-sided in the renormalized CDF) and
+    ``choice(n)`` draw, so the table equals the per-row-sampler original
+    (``repro._modelref.reference_sales_table``) bit for bit.
+    """
     if n_rows < 1:
         raise ModelError("need at least one row")
-    rng = RandomStream(seed, "sales")
+    if n_customers < 1:
+        raise ModelError(f"need at least one customer, got {n_customers}")
+    gen = RandomStream(seed, "sales").numpy
     regions = ("EU", "US", "APAC")
     sectors = ("telecom", "finance", "health", "automotive", "analytics")
+    ranks = np.arange(1, n_customers + 1, dtype=float)
+    weights = ranks**-1.1
+    weights /= weights.sum()
+    customer_cdf = _choice_cdf(weights)
+    region_cdf = _choice_cdf([0.5, 0.3, 0.2])
+    log_median = np.log(120.0)
     rows = []
     for i in range(n_rows):
+        customer = bisect_right(customer_cdf, gen.random())
+        region = bisect_right(region_cdf, gen.random())
         rows.append(
             {
                 "order_id": i,
-                "customer": f"c{rng.zipf_indices(n_customers, 1.1, 1)[0]}",
-                "region": rng.choice(regions, p=[0.5, 0.3, 0.2]),
-                "sector": rng.choice(sectors),
-                "amount": round(rng.lognormal(120.0, 1.2), 2),
+                "customer": f"c{customer}",
+                "region": regions[region],
+                "sector": sectors[gen.integers(0, len(sectors))],
+                "amount": round(float(gen.lognormal(log_median, 1.2)), 2),
             }
         )
     return rows
+
+
+def _choice_cdf(p) -> List[float]:
+    """The CDF ``Generator.choice(p=p)`` searches, as a list for bisect."""
+    cdf = np.asarray(p, dtype=float).cumsum()
+    cdf /= cdf[-1]
+    return cdf.tolist()
 
 
 def sensor_readings(

@@ -10,7 +10,7 @@ so architectures can be compared side by side.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional
 
 from repro.analytics import kmeans, tokenize
@@ -265,10 +265,33 @@ def compare_architectures(
     configurations: Dict[str, tuple],
     scale: int = 1,
 ) -> Dict[str, List[BenchmarkScore]]:
-    """Side-by-side suite runs: name -> (cluster, policy)."""
+    """Side-by-side suite runs: name -> (cluster, policy).
+
+    Each batch dataset is built once per call and shared by every
+    architecture: a dataset is a pure function of ``scale`` and the
+    executor only ever derives new datasets from its input, never
+    mutating it. Nothing is cached across calls.
+    """
     if not configurations:
         raise ModelError("need at least one architecture")
+    if scale < 1:
+        raise ModelError(f"scale must be >= 1, got {scale}")
+    benchmarks = [
+        definition if definition.runner is not None
+        else replace(definition,
+                     make_dataset=_prebuilt(definition.make_dataset(scale)))
+        for definition in standard_suite()
+    ]
     return {
-        name: run_suite(cluster, name, policy=policy, scale=scale)
+        name: run_suite(
+            cluster, name, policy=policy, scale=scale, benchmarks=benchmarks
+        )
         for name, (cluster, policy) in configurations.items()
     }
+
+
+def _prebuilt(
+    dataset: PartitionedDataset,
+) -> Callable[[int], PartitionedDataset]:
+    """A ``make_dataset`` that hands back an already-built dataset."""
+    return lambda _scale: dataset

@@ -10,6 +10,7 @@ from repro.frameworks import (
     cpu_only,
     greedy_time,
 )
+from repro.frameworks.dataset import _stable_bucket
 from repro.cluster import uniform_cluster
 from repro.network import leaf_spine
 from repro.node import (
@@ -56,6 +57,20 @@ class TestPartitionedDataset:
             parities = {x % 2 for x in partition}
             assert len(parities) <= 1
         assert sorted(by_parity.collect()) == list(range(100))
+
+    @pytest.mark.parametrize("n_partitions", [1, 8])
+    def test_repartition_matches_per_record_buckets(self, n_partitions):
+        # Keys that compare equal but print differently (1, 1.0, True)
+        # must keep their own buckets: placement follows each key's repr.
+        keys = [1, 1.0, True, "1", (1,), (1, "1"), (1.0, True), None,
+                "a", ("a", (2, 3)), -0.0, 0.0, 2**40, "ü"]
+        records = [(keys[i % len(keys)], i) for i in range(5 * len(keys))]
+        ds = PartitionedDataset.from_records(records, 3)
+        shuffled = ds.repartition_by_key(lambda r: r[0], n_partitions)
+        expected = [[] for _ in range(n_partitions)]
+        for record in ds.collect():
+            expected[_stable_bucket(record[0], n_partitions)].append(record)
+        assert shuffled.partitions == expected
 
     def test_repartition_is_deterministic(self):
         ds = PartitionedDataset.from_records(["a", "b", "c"] * 10, 2)

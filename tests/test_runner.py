@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 from repro.engine.observability import Registry
-from repro.errors import RegistryError
+from repro.errors import ModelError, RegistryError
 from repro.reporting import get_experiment
 from repro.runner import (
     GridResult,
@@ -51,6 +51,11 @@ def ok_entrypoint(config, seed):
 def failing_entrypoint(config, seed):
     """Always raises, to exercise the error-capture path."""
     raise ValueError("synthetic failure for the retry test")
+
+
+def model_error_entrypoint(config, seed):
+    """Raises a library error: deterministic, so never worth a retry."""
+    raise ModelError("synthetic invalid parameter")
 
 
 def sleepy_entrypoint(config, seed):
@@ -410,6 +415,26 @@ class TestFailurePaths:
                               jobs=2, retries=2)
         assert result.status == "error"
         assert result.attempts == 3
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_library_error_is_final(self, jobs):
+        [result] = run_shards([_shard("model_error_entrypoint", "T-MODEL")],
+                              jobs=jobs, retries=2)
+        assert result.status == "error"
+        assert result.attempts == 1
+        assert "ModelError: synthetic invalid parameter" in result.error
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_bad_config_value_runs_once(self, jobs):
+        grid = run_grid(
+            "E1", overrides=[{"n_interviews": -5}], use_cache=False,
+            jobs=jobs,
+        )
+        [result] = grid.results
+        assert result.status == "error"
+        assert result.attempts == 1
+        assert grid.stats["pool_spawns"] == 1
+        assert grid.stats["retries"] == 0
 
     def test_timeout_terminates_and_records(self):
         [result] = run_shards(

@@ -1,11 +1,14 @@
 """Tests for workload generators, the search service and the suite."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from repro import _modelref
 from repro.cluster import uniform_cluster
 from repro.errors import ModelError
-from repro.frameworks import cpu_only, greedy_time
+from repro.frameworks import cpu_only, greedy_energy, greedy_time
 from repro.network import leaf_spine
 from repro.node import (
     accelerated_server,
@@ -65,6 +68,22 @@ class TestGenerators:
         assert all(r["amount"] > 0 for r in rows)
         assert {r["region"] for r in rows} <= {"EU", "US", "APAC"}
 
+    @pytest.mark.parametrize(
+        "n_rows, n_customers, seed",
+        [(1, 500, 0), (7, 500, 5), (2_000, 500, 11), (2_000, 500, 13),
+         (300, 37, 3), (50, 1, 2), (1, 2, 9)],
+    )
+    def test_sales_table_matches_frozen_reference(
+        self, n_rows, n_customers, seed
+    ):
+        # The samplers are hoisted out of the row loop; the table must
+        # still equal the per-row-sampler original, value for value.
+        assert sales_table(
+            n_rows, n_customers=n_customers, seed=seed
+        ) == _modelref.reference_sales_table(
+            n_rows, n_customers=n_customers, seed=seed
+        )
+
     def test_sensor_anomalies_rare_but_present(self):
         readings = sensor_readings(5000, anomaly_rate=0.02, seed=2)
         n_anomalies = sum(r["anomalous"] for r in readings)
@@ -96,6 +115,8 @@ class TestGenerators:
             zipf_documents(0, 10)
         with pytest.raises(ModelError):
             sales_table(0)
+        with pytest.raises(ModelError):
+            sales_table(10, n_customers=0)
         with pytest.raises(ModelError):
             sensor_readings(10, anomaly_rate=1.0)
         with pytest.raises(ModelError):
@@ -202,6 +223,49 @@ class TestSuite:
         # The FPGA helps the regex-heavy wordcount benchmark.
         assert fpga_times["wordcount"] < cpu_times["wordcount"]
 
+    def test_comparison_builds_each_dataset_once(self, monkeypatch):
+        from repro.workloads import suite
+
+        built = {}
+
+        def counting(name, make_dataset):
+            def make(scale):
+                built[name] = built.get(name, 0) + 1
+                return make_dataset(scale)
+            return make
+
+        original = suite.standard_suite
+        monkeypatch.setattr(suite, "standard_suite", lambda: [
+            definition if definition.runner is not None else replace(
+                definition,
+                make_dataset=counting(definition.name,
+                                      definition.make_dataset),
+            )
+            for definition in original()
+        ])
+        fabric = lambda: leaf_spine(2, 2, 2)  # noqa: E731
+        fpga = lambda: accelerated_server(xeon_e5(), arria10_fpga())  # noqa: E731
+        architectures = {
+            "cpu": (uniform_cluster(
+                fabric(), lambda: commodity_server(xeon_e5())), cpu_only()),
+            "cpu+gpu": (uniform_cluster(
+                fabric(), lambda: accelerated_server(xeon_e5(), nvidia_k80())),
+                greedy_time()),
+            "cpu+fpga": (uniform_cluster(fabric(), fpga), greedy_time()),
+            "cpu+fpga-energy": (uniform_cluster(fabric(), fpga),
+                                greedy_energy()),
+        }
+        batch = ["wordcount", "terasort", "sql-query", "kmeans",
+                 "pagerank-prep"]
+
+        shared = compare_architectures(architectures)
+        assert built == {name: 1 for name in batch}
+        # No cache across calls: a second comparison builds them anew.
+        compare_architectures(architectures)
+        assert built == {name: 2 for name in batch}
+        for name, (cluster, policy) in architectures.items():
+            assert shared[name] == run_suite(cluster, name, policy=policy)
+
     def test_bad_scale_rejected(self):
         cluster = uniform_cluster(
             leaf_spine(2, 2, 2), lambda: commodity_server(xeon_e5())
@@ -212,6 +276,11 @@ class TestSuite:
     def test_empty_comparison_rejected(self):
         with pytest.raises(ModelError):
             compare_architectures({})
+        cluster = uniform_cluster(
+            leaf_spine(2, 2, 2), lambda: commodity_server(xeon_e5())
+        )
+        with pytest.raises(ModelError, match="scale"):
+            compare_architectures({"cpu": (cluster, cpu_only())}, scale=0)
 
     def test_benchmark_definition_needs_exactly_one_style(self):
         from repro.workloads import BenchmarkDefinition
